@@ -15,7 +15,8 @@ import sympy
 
 from .cyclo import Cyc
 from .quadext import Q2
-from .scalar import INF, LocalField, legendre, rational_mod, unit_part, valuation
+from .scalar import (INF, LocalField, legendre, rational_mod, ratsqrt,
+                     unit_part, valuation)
 
 
 class UnsupportedAlgebraError(ValueError):
@@ -386,7 +387,7 @@ def decompose(lf: LocalField, matrix) -> tuple[EtaleAlgebra, "AlgElement"]:
                 raise UnsupportedAlgebraError(
                     "quadratic factor splits over Q_p with irrational roots")
             s2 = disc / d0
-            s = Fraction(sympy.sqrt(sympy.Rational(s2)))
+            s = ratsqrt(s2)
             gamma_i = Q2(Fraction(d0), -c1 / 2, s / 2)
             factors.append(QuadFactor(lf, d0, gamma_i))
         else:
@@ -397,32 +398,53 @@ def decompose(lf: LocalField, matrix) -> tuple[EtaleAlgebra, "AlgElement"]:
     return alg, alg.gamma_element()
 
 
+_U1_COSETS: dict = {}
+
+
 def u1_cosets(lf: LocalField, k: int) -> list[Q2]:
     """Exact representatives of U(1)(F) modulo the principal congruence
-    subgroup of level k in E = F(sqrt(tau)); each representative has norm
-    exactly 1, produced as w / conj(w)."""
+    subgroup of level k in E = F(sqrt(tau)), in the basis (1, sqrt(tau)).
+
+    By Hilbert 90, w -> w / conj(w) maps E^x / F^x = P^1(F) onto U(1), so
+    the representatives come from a walk over P^1(F) in the squarefree
+    model E = F(sqrt(d0)): w = a + sqrt(d0) for a mod p^(k+1), and
+    w = 1 + c sqrt(d0) for c in pZ_p mod p^(k+1) (c = 0 gives w = 1).
+    Both truncations move w / conj(w) only inside the level-k subgroup;
+    classes are told apart by _e_residue_key.  Each representative has
+    norm exactly 1.  For k >= 1 there are (p + 1) p^(k-1) classes for
+    unramified E and 2 p^(k // 2) for ramified E; level 0 has one.
+
+    The classes are memoized per (p, tau, k); every call returns a fresh
+    list.
+    """
     p, tau = lf.p, lf.tau
     if k < 0:
         raise ValueError("level must be nonnegative")
+    key = (p, tau, k)
+    if key not in _U1_COSETS:
+        _U1_COSETS[key] = _u1_cosets(lf, k)
+    return list(_U1_COSETS[key])
+
+
+def _u1_cosets(lf: LocalField, k: int) -> list[Q2]:
+    p, tau = lf.p, lf.tau
     if k == 0:
         return [Q2(tau, Fraction(1), Fraction(0))]
     fac = QuadFactor(lf, squarefree_kernel(tau))
     # scale tau to the squarefree model: sqrt(tau) = s * sqrt(d0)
     d0 = fac.d0
-    s = Fraction(sympy.sqrt(sympy.Rational(tau / d0)))
+    s = ratsqrt(tau / d0)
     mod = p ** (k + 1)
+    cands = [(Fraction(a), Fraction(1)) for a in range(mod)]
+    cands += [(Fraction(1), Fraction(c)) for c in range(0, mod, p)]
     seen = {}
-    for xa in range(mod):
-        for xb in range(mod):
-            w = Q2(d0, Fraction(xa), Fraction(xb))
-            # w matters only up to F^x, so valuations 0 and 1 suffice
-            if fac.val(w) not in (0, 1):
-                continue
-            z = w / w.conj()
-            key = _e_residue_key(fac, z, k)
-            if key not in seen:
-                # express back in the (1, sqrt(tau)) basis
-                seen[key] = Q2(tau, z.a, z.b / s)
+    for xa, xb in cands:
+        w = Q2(d0, xa, xb)
+        z = w / w.conj()
+        key = _e_residue_key(fac, z, k)
+        if key not in seen:
+            # express back in the (1, sqrt(tau)) basis
+            seen[key] = Q2(tau, z.a, z.b / s)
     return list(seen.values())
 
 

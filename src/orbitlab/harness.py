@@ -8,6 +8,7 @@ reports exact pass/fail per instance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -21,8 +22,9 @@ from .etale import EtaleAlgebra, LineFactor, QuadFactor, squarefree_kernel
 from .integrals import (algebra_space, c_empty_closed_form, deep_element,
                         germ_extract, gl_orbit_integral,
                         nilpotent_orbit_integral_gl, parabolic_descent,
-                        support_radius, torus_orbit_integral,
-                        unitary_orbit_integral, weil_index, weil_index_form)
+                        rank1_slice, rank1_slice_zeta, support_radius,
+                        torus_orbit_integral, unitary_orbit_integral,
+                        weil_index, weil_index_form)
 from .quadext import Q2
 from .scalar import INF, LocalField, smallest_nonresidue, valuation
 from .spaces import GLTriple, d_resultant
@@ -83,7 +85,7 @@ class VerificationReport:
         self.instances = []
         self.calibration = None
         self.blocking = True
-        self.started = time.time()
+        self.runtime = None  # seconds, stamped by the suite that ran it
 
     def add(self, ok: bool, detail: str = "", witness=None):
         self.instances.append({"ok": bool(ok), "detail": detail,
@@ -111,7 +113,20 @@ class VerificationReport:
                 "calibration": (self.calibration.to_json()
                                 if isinstance(self.calibration, Cyc)
                                 else self.calibration),
-                "runtime": round(time.time() - self.started, 3)}
+                "runtime": (None if self.runtime is None
+                            else round(self.runtime, 3))}
+
+
+def _timed_suite(suite):
+    """Stamp the suite's report with the wall time of the suite call
+    itself, stopped when the suite returns."""
+    @functools.wraps(suite)
+    def run(*args, **kwargs):
+        start = time.perf_counter()
+        report = suite(*args, **kwargs)
+        report.runtime = time.perf_counter() - start
+        return report
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +207,7 @@ def _germ_grid_check(alg: EtaleAlgebra, f: StepFunction, germ):
     return True, ""
 
 
+@_timed_suite
 def verify_torus_germ(p_list=(3, 5), seed=0, instances=50,
                       tau=None) -> VerificationReport:
     report = VerificationReport("torus-germ")
@@ -226,6 +242,7 @@ def verify_torus_germ(p_list=(3, 5), seed=0, instances=50,
 # suite: m=1 closed forms for the generator families
 
 
+@_timed_suite
 def verify_m1_closed_forms(p=3, tau=None) -> VerificationReport:
     """Hand-derived shell formulas for the three generating families: the
     unit-lattice indicator (constant plus valuation term), and the two
@@ -283,6 +300,7 @@ def _random_involution_gram(dim: int, rng) -> MonomialGram:
     return MonomialGram(perm, scales)
 
 
+@_timed_suite
 def verify_fourier_involution(p=3, seed=0, instances=100) -> \
         VerificationReport:
     report = VerificationReport("fourier-involution")
@@ -356,6 +374,7 @@ def _random_descent_instance(lf, rng):
     return f, GLTriple([[l1, 0], [0, l2]], [v1, 0], [0, w2])
 
 
+@_timed_suite
 def verify_descent(p=3, seed=0, instances=20, tau=None) -> \
         VerificationReport:
     report = VerificationReport("parabolic-descent")
@@ -378,6 +397,7 @@ def verify_descent(p=3, seed=0, instances=20, tau=None) -> \
     return report
 
 
+@_timed_suite
 def verify_descent_fourier(p=3, seed=0, instances=20) -> VerificationReport:
     report = VerificationReport("descent-fourier")
     lf = LocalField(p, default_tau(p))
@@ -396,6 +416,7 @@ def verify_descent_fourier(p=3, seed=0, instances=20) -> VerificationReport:
 # suite: index signs
 
 
+@_timed_suite
 def verify_weil_suite(p_list=(3, 5, 7)) -> VerificationReport:
     report = VerificationReport("weil-signs")
     for p in p_list:
@@ -447,6 +468,7 @@ def _solvable(lf: LocalField, a: Fraction, b: Fraction) -> bool:
     return False
 
 
+@_timed_suite
 def verify_hilbert_oracle(p_list=(3, 5, 7)) -> VerificationReport:
     report = VerificationReport("hilbert-oracle")
     for p in p_list:
@@ -486,6 +508,7 @@ def _companion_triple(alg: EtaleAlgebra, rng) -> GLTriple:
     raise RuntimeError("no cyclic triple found")
 
 
+@_timed_suite
 def verify_cohomology(p=3, seed=0, tau=None) -> VerificationReport:
     report = VerificationReport("cohomology-torsor")
     u = smallest_nonresidue(p)
@@ -554,8 +577,7 @@ def _gl_side_orbit(lf: LocalField, f: StepFunction, delta, b) -> Cyc:
 
 def _deep_value(lf: LocalField, f: StepFunction, delta, sign: int) -> Cyc:
     alg = EtaleAlgebra(lf, [LineFactor(lf, Fraction(delta))])
-    fd = f.translate((Fraction(delta), Fraction(0), Fraction(0)))
-    return c_empty_closed_form(alg, fd.restrict_zero([0]), (sign,))
+    return c_empty_closed_form(alg, rank1_slice(f, delta), (sign,))
 
 
 def _slot_bounds(f: StepFunction, i: int):
@@ -626,8 +648,7 @@ def construct_jr_transfer_n1(lf: LocalField, f: StepFunction,
         vh = valuation(h, p)
         terms = []
         for dc in centers:
-            fd = f.translate((dc, Fraction(0), Fraction(0)))
-            fd0 = fd.restrict_zero([0])
+            fd0 = rank1_slice(f, dc)
             alg = EtaleAlgebra(lf, [LineFactor(lf, dc)])
             deep = c_empty_closed_form(alg, fd0, (lf.chi(h),))
             radius = support_radius(alg, fd0)
@@ -641,7 +662,9 @@ def construct_jr_transfer_n1(lf: LocalField, f: StepFunction,
                     b = h * (wa * wa - d0 * wb * wb)
                     if b == 0:
                         continue
-                    val = _gl_side_orbit(lf, f, dc, b)
+                    # the GL-side orbit integral at (dc, b) on the
+                    # slice already taken for this center
+                    val = rank1_slice_zeta(alg, fd0, 1, b, 0).value_at_one()
                     if val != deep:
                         all_deep = False
                     if val:
@@ -679,6 +702,7 @@ def construct_jr_transfer_n1(lf: LocalField, f: StepFunction,
 # suite: nilpotent identity at rank one
 
 
+@_timed_suite
 def verify_nilpotent_identity(p_list=(3, 5), seed=0, instances=100,
                               ledger=None, end_to_end_every=13) -> \
         VerificationReport:
@@ -766,6 +790,7 @@ def _end_to_end_check(lf, f, gamma, c_plus, c_minus, h1, rng):
 # suite: unit-function matching at rank one
 
 
+@_timed_suite
 def verify_fl_n1(p_list=(3, 5), val_range=3) -> VerificationReport:
     report = VerificationReport("unit-matching-n1")
     for p in p_list:
@@ -801,6 +826,7 @@ def verify_fl_n1(p_list=(3, 5), val_range=3) -> VerificationReport:
 # suite: transfer factor algebra
 
 
+@_timed_suite
 def verify_transfer_factor_algebra(seed=0, instances=30, p=3) -> \
         VerificationReport:
     """The weighted-wedge sign of a block-diagonal triple factors as the
@@ -844,6 +870,7 @@ def verify_transfer_factor_algebra(seed=0, instances=30, p=3) -> \
 # stretch suite: rank-two anisotropic identity
 
 
+@_timed_suite
 def verify_rank2_stretch(candidate_pairs=None) -> VerificationReport:
     """Rank-two identity with anisotropic unitary side on user-supplied
     candidate matched pairs.  With no candidates, this reports honestly

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .cyclo import Cyc, sqrt_p
 from .etale import EtaleAlgebra, AlgElement, LineFactor, QuadFactor
 from .quadext import Q2
-from .scalar import INF, LocalField, smallest_nonresidue, valuation
+from .scalar import INF, LocalField, ratsqrt, smallest_nonresidue, valuation
 from .steps import LineBlock, QuadBlock, Space, StepFunction
 from .zeta import FactorMode, ZetaElement, mult_zeta
 
@@ -261,18 +261,30 @@ def _certify(alg, f, exp: GermExpansion) -> bool:
 # rank-1 multiplicative reductions
 
 
+def rank1_slice(f: StepFunction, gamma) -> StepFunction:
+    """The slice f(gamma, ., .) on F x F of f on F x F x F."""
+    g = f.translate((Fraction(gamma), Fraction(0), Fraction(0)))
+    return g.restrict_zero([0])
+
+
+def rank1_slice_zeta(alg: EtaleAlgebra, g: StepFunction, v, vs,
+                     sigma) -> ZetaElement:
+    """The zeta element of int g(t v, t^{-1} vs) chi(t)|t|^{sigma s} dt for
+    the slice g = f(gamma, ., .), alg the one-line algebra F[gamma]; a zero
+    v (resp. vs) pins that argument to 0."""
+    sv = Fraction(v) if v else Fraction(1)
+    sw = Fraction(vs) if vs else Fraction(1)
+    g = g.affine_pullback([[sv, Fraction(0)], [Fraction(0), sw]])
+    mode = FactorMode(slot1=bool(v), slot2=bool(vs), sigma=sigma, char=True)
+    return mult_zeta(alg, g, [mode])
+
+
 def _rank1_zeta(lf: LocalField, f: StepFunction, gamma, v, vs,
                 sigma) -> ZetaElement:
     """The zeta element of int f(gamma, t v, t^{-1} vs) chi(t)|t|^{sigma s} dt
     for f on F x F x F; a zero v (resp. vs) pins that argument to 0."""
-    g = f.translate((Fraction(gamma), Fraction(0), Fraction(0)))
-    g = g.restrict_zero([0])
-    sv = Fraction(v) if v else Fraction(1)
-    sw = Fraction(vs) if vs else Fraction(1)
-    g = g.affine_pullback([[sv, Fraction(0)], [Fraction(0), sw]])
     alg = EtaleAlgebra(lf, [LineFactor(lf, Fraction(gamma))])
-    mode = FactorMode(slot1=bool(v), slot2=bool(vs), sigma=sigma, char=True)
-    return mult_zeta(alg, g, [mode])
+    return rank1_slice_zeta(alg, rank1_slice(f, gamma), v, vs, sigma)
 
 
 def gl_orbit_integral(lf: LocalField, f: StepFunction, d) -> Cyc:
@@ -451,7 +463,7 @@ def unitary_orbit_integral(lf: LocalField, f: StepFunction, delta, w,
     computed by congruence-coset averaging at a stabilized level."""
     from .etale import u1_cosets, squarefree_kernel
     d0 = Fraction(squarefree_kernel(lf.tau))
-    s = _ratsqrt(lf.tau / d0)
+    s = ratsqrt(lf.tau / d0)
     if not isinstance(w, Q2):
         w = Q2(d0, Fraction(w), Fraction(0))
     prev = None
@@ -469,15 +481,6 @@ def unitary_orbit_integral(lf: LocalField, f: StepFunction, delta, w,
         prev = val
         k += 1
     raise ArithmeticError("unitary average did not stabilize")
-
-
-def _ratsqrt(x: Fraction) -> Fraction:
-    from math import isqrt
-    n, d = x.numerator, x.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        raise ValueError("not a rational square")
-    return Fraction(rn, rd)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +506,7 @@ def weil_index(lf: LocalField, a) -> Cyc:
     if rho_sq is None or rho_sq <= 0:
         raise ArithmeticError("phase-sum norm is not a positive rational")
     w = valuation(rho_sq, p)
-    root = _ratsqrt(rho_sq / Fraction(p) ** w)
+    root = ratsqrt(rho_sq / Fraction(p) ** w)
     if w % 2 == 0:
         rho_inv = Cyc.rational(1 / (root * Fraction(p) ** (w // 2)), p)
     else:

@@ -63,6 +63,16 @@ def unit_part(x, p: int) -> Fraction:
     return x / Fraction(p) ** v
 
 
+def ratsqrt(x) -> Fraction:
+    """The nonnegative exact square root of a rational square."""
+    x = Fraction(x)
+    n, d = x.numerator, x.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn != n or rd * rd != d:
+        raise ValueError("not a rational square")
+    return Fraction(rn, rd)
+
+
 def rational_mod(x, p: int, k: int) -> int:
     """Residue of x (a p-adic integer) modulo p^k, as an int in [0, p^k)."""
     x = Fraction(x)

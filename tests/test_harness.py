@@ -3,8 +3,9 @@ from fractions import Fraction
 
 from orbitlab import harness
 from orbitlab.cyclo import Cyc
+from orbitlab.etale import squarefree_kernel
 from orbitlab.integrals import gl_orbit_integral, unitary_orbit_integral
-from orbitlab.scalar import LocalField
+from orbitlab.scalar import LocalField, ratsqrt
 from orbitlab.spaces import GLTriple
 from orbitlab.steps import Space, StepFunction
 
@@ -34,6 +35,26 @@ def test_report_summary_and_json():
     assert rep.failures()[0]["witness"] == {"x": 1}
     data = rep.to_json()
     assert data["name"] == "demo" and not data["passed"]
+
+
+def test_report_runtime_is_the_suites_own(monkeypatch):
+    clock = {"now": 100.0}
+    monkeypatch.setattr(harness.time, "perf_counter", lambda: clock["now"])
+
+    @harness._timed_suite
+    def suite():
+        clock["now"] += 2.5
+        rep = harness.VerificationReport("timed")
+        rep.add(True)
+        return rep
+
+    rep = suite()
+    clock["now"] += 1000.0  # serialized long after the suite returned
+    assert rep.to_json()["runtime"] == 2.5
+    # registered suites stop their clock on return too
+    rep = harness.verify_rank2_stretch()
+    clock["now"] += 1000.0
+    assert rep.to_json()["runtime"] == 0.0
 
 
 def test_transfer_of_zero_is_zero(lf3):
@@ -66,9 +87,32 @@ def test_transfer_matches_orbit_integrals(lf3):
         lin = gl_orbit_integral(lf3, f, GLTriple([[delta]], [1], [b]))
         # b a rational square: w = sqrt(b) has norm invariant b on the
         # norm-class side
-        from orbitlab.integrals import _ratsqrt
-        wv = _ratsqrt(b)
+        wv = ratsqrt(b)
         assert unitary_orbit_integral(lf3, f0, delta, wv) == lin
+
+
+def test_transfer_terms_are_gl_orbit_integrals():
+    # the construction evaluates shells on a per-center slice of f; every
+    # shell term must still be the GL-side orbit integral of f itself
+    for tau in (Fraction(2), Fraction(3)):
+        lf = LocalField(3, tau)
+        d0 = Fraction(squarefree_kernel(lf.tau))
+        rng = random.Random(f"hoisted/{tau}")
+        f = harness.random_step_function(Space.lines(lf, 3), rng, nterms=3,
+                                         maxlev=1, uniform=False)
+        pair = harness.construct_jr_transfer_n1(lf, f)
+        hs = (Fraction(1), harness._nonnorm_scalar(lf))
+        checked = 0
+        for h, fi in zip(hs, pair):
+            for t in fi.terms:
+                dc, wa, wb = t.center
+                if wa == 0 and wb == 0:
+                    continue  # the deep ball around the vector origin
+                b = h * (wa * wa - d0 * wb * wb)
+                d = GLTriple([[dc]], [1], [b])
+                assert t.coeff == gl_orbit_integral(lf, f, d)
+                checked += 1
+        assert checked
 
 
 def test_quick_suites_pass():
