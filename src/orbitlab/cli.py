@@ -13,7 +13,7 @@ from fractions import Fraction
 import click
 
 from . import harness
-from .etale import EtaleAlgebra, LineFactor, squarefree_kernel
+from .etale import EtaleAlgebra, LineFactor
 from .integrals import gl_orbit_integral, torus_orbit_integral
 from .scalar import LocalField
 from .spaces import GLTriple, HermitianSpace, construct_unitary_match
@@ -78,20 +78,17 @@ def _frac(x) -> Fraction:
 @click.option("--seed", type=int, default=0)
 @click.option("--instances", type=int, default=None,
               help="Randomized instances per suite.")
-@click.option("--max-level", type=int, default=16,
-              help="Stabilization depth for compact averages.")
 @click.option("--ledger", type=click.Path(), default=None,
               help="Calibration-constant ledger file (read and updated).")
 @click.option("--out", type=click.Path(), default=None,
               help="Write the JSON report here.")
 @click.pass_context
-def main(ctx, p, tau, seed, instances, max_level, ledger, out):
+def main(ctx, p, tau, seed, instances, ledger, out):
     """Exact verification suites for orbit-integral identities on
     unitary and general-linear Lie algebras."""
     ctx.ensure_object(dict)
     ctx.obj.update(p=p, tau=Fraction(tau) if tau else None, seed=seed,
-                   instances=instances, max_level=max_level,
-                   ledger=ledger, out=out)
+                   instances=instances, ledger=ledger, out=out)
 
 
 @main.command("germ-verify")

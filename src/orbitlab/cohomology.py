@@ -10,10 +10,10 @@ import itertools
 from fractions import Fraction
 
 from .etale import AlgElement, EtaleAlgebra
-from .quadext import Q2
+from .linalg import mat_mul, mat_vec, solve
 from .scalar import smallest_nonresidue
 from .spaces import (GLTriple, HermitianSpace, UnitaryLieElement,
-                     construct_unitary_match, e_scalar, mat_mul, mat_vec)
+                     construct_unitary_match)
 
 
 class H1Class:
@@ -70,22 +70,6 @@ def kappa_sign(alg: EtaleAlgebra, block, x: H1Class) -> int:
 # polynomial representatives of algebra elements
 
 
-def solve_linear(A, rhs):
-    """Gaussian elimination over Fraction for a square invertible system."""
-    n = len(A)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [c * inv for c in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
-
-
 def poly_coeffs(alg: EtaleAlgebra, elt: AlgElement):
     """Coefficients (c_0, ..., c_{n-1}) with sum c_k gamma^k = elt."""
     n = alg.dim()
@@ -102,22 +86,21 @@ def poly_coeffs(alg: EtaleAlgebra, elt: AlgElement):
             rhs.append(c.a)
             rows.append([w.b for w in pows])
             rhs.append(c.b)
-    return solve_linear(rows, rhs)
+    return solve(rows, rhs)
 
 
 def matrix_of(alg: EtaleAlgebra, elt: AlgElement, gamma_matrix):
-    """The matrix sum c_k gamma^k acting wherever gamma_matrix acts."""
+    """The matrix sum c_k gamma^k acting wherever gamma_matrix acts,
+    evaluated by Horner's rule."""
     cs = poly_coeffs(alg, elt)
     n = len(gamma_matrix)
     zero = gamma_matrix[0][0] - gamma_matrix[0][0]
-    one = zero + 1
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    P = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for c in cs:
+    out = [[zero + cs[-1] if i == j else zero for j in range(n)]
+           for i in range(n)]
+    for c in reversed(cs[:-1]):
+        out = mat_mul(gamma_matrix, out)
         for i in range(n):
-            for j in range(n):
-                out[i][j] = out[i][j] + P[i][j] * c
-        P = mat_mul(gamma_matrix, P)
+            out[i][i] = out[i][i] + c
     return out
 
 
@@ -179,20 +162,6 @@ def rho(alg: EtaleAlgebra, delta: UnitaryLieElement, w) -> H1Class:
         sub = HermitianSpace(lf, gram)
         bits.append(sub.class_bit())
     return H1Class(alg, bits)
-
-
-def check_s2_trivial(alg: EtaleAlgebra, delta: UnitaryLieElement, w,
-                    other: UnitaryLieElement, ow) -> bool:
-    """The analogous per-factor classes over the factors containing E
-    never separate two pairs with the same invariants."""
-    for i in alg.S2():
-        for (dd, ww) in ((delta, w), (other, ow)):
-            P = matrix_of(alg, factor_idempotent(alg, i), dd.mat)
-            u = mat_vec(P, list(ww))
-            basis = [u, mat_vec(dd.mat, u)]
-            gram = [[dd.space.pair(a, b) for b in basis] for a in basis]
-            HermitianSpace(dd.space.lf, gram)  # nondegeneracy check
-    return True
 
 
 def inv(alg: EtaleAlgebra, pair1, pair2) -> H1Class:

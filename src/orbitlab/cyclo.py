@@ -86,10 +86,6 @@ class Cyc:
             acc[key] = acc.get(key, Fraction(0)) + s
         return Cyc(p, {k: v for k, v in acc.items() if v != 0})
 
-    @staticmethod
-    def minus_one_power(n: int) -> "Cyc":
-        return Cyc.rational(-1 if n % 2 else 1)
-
     # -- helpers -----------------------------------------------------------
 
     def _compat(self, other: "Cyc") -> int | None:
@@ -220,16 +216,6 @@ class Cyc:
 
     def __bool__(self):
         return not self.is_zero()
-
-    def approx(self) -> complex:
-        """Float approximation, for reports only."""
-        import cmath
-
-        p = self.p if self.p is not None else 2
-        z = 0j
-        for (a, j, e), v in self.coeffs.items():
-            z += float(v) * (1j**a) * cmath.exp(2j * cmath.pi * e / p**j)
-        return z
 
     def __repr__(self):
         if not self.coeffs:

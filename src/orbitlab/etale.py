@@ -11,18 +11,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy
-
-from .cyclo import Cyc
 from .quadext import Q2
 from .scalar import (INF, LocalField, legendre, rational_mod, ratsqrt,
                      unit_part, valuation)
 
 
 class UnsupportedAlgebraError(ValueError):
-    """Raised when a characteristic polynomial falls outside the exactly
-    representable factorization classes (degree > 2 irreducible over Q,
-    repeated factors, or Q-irreducible quadratics that split over Q_p)."""
+    """Raised when an algebra falls outside the exactly representable
+    classes: repeated factors (gamma not regular semisimple), or a
+    quadratic factor F(sqrt(d0)) with d0 a square in Q_p."""
 
 
 def squarefree_kernel(x) -> int:
@@ -31,13 +28,18 @@ def squarefree_kernel(x) -> int:
     if x == 0:
         raise ValueError("squarefree kernel of 0")
     n = x.numerator * x.denominator
-    sign = -1 if n < 0 else 1
+    d0 = -1 if n < 0 else 1
     n = abs(n)
-    d0 = 1
-    for prime, exp in sympy.factorint(n).items():
-        if exp % 2:
-            d0 *= prime
-    return sign * d0
+    k = 2
+    while k * k <= n:  # trial division: inputs are small
+        e = 0
+        while n % k == 0:
+            n //= k
+            e += 1
+        if e % 2:
+            d0 *= k
+        k += 1 if k == 2 else 2
+    return d0 * n  # what is left is 1 or a prime
 
 
 class LineFactor:
@@ -93,12 +95,6 @@ class LineFactor:
         if x == 0:
             return 0
         return self.lf.chi(x)
-
-    def norm_to_F(self, x) -> Fraction:
-        return Fraction(x)
-
-    def trace_to_F(self, x) -> Fraction:
-        return Fraction(x)
 
     def chi_ramified_on_units(self) -> bool:
         """Whether chi (composed with the norm to F) is nontrivial on the
@@ -208,12 +204,6 @@ class QuadFactor:
             return 1
         return self.hilbert(x, self.from_rational(self.lf.tau))
 
-    def norm_to_F(self, x) -> Fraction:
-        return self._lift(x).norm()
-
-    def trace_to_F(self, x) -> Fraction:
-        return self._lift(x).trace()
-
     def chi_ramified_on_units(self) -> bool:
         """Whether chi composed with the norm is nontrivial on units.
 
@@ -278,17 +268,6 @@ class EtaleAlgebra:
     def element(self, coords) -> "AlgElement":
         return AlgElement(self, list(coords))
 
-    def char_poly(self):
-        """Monic characteristic polynomial, as a coefficient tuple."""
-        x = sympy.Symbol("x")
-        poly = sympy.Integer(1)
-        for f in self.factors:
-            cs = f.poly()
-            poly *= sum(sympy.Rational(c) * x ** (len(cs) - 1 - k)
-                        for k, c in enumerate(cs))
-        ps = sympy.Poly(sympy.expand(poly), x)
-        return tuple(Fraction(str(c)) for c in ps.all_coeffs())
-
     def __repr__(self):
         return f"EtaleAlgebra({self.factors})"
 
@@ -338,12 +317,6 @@ class AlgElement:
     def vals(self) -> list:
         return [f.val(c) for f, c in zip(self.algebra.factors, self.coords)]
 
-    def norms_to_F(self) -> list[Fraction]:
-        return [f.norm_to_F(c) for f, c in zip(self.algebra.factors, self.coords)]
-
-    def chi_values(self) -> list[int]:
-        return [f.chi(c) for f, c in zip(self.algebra.factors, self.coords)]
-
     def chi(self, indices=None) -> int:
         """Product of the per-factor chi values over the given indices."""
         idx = range(len(self.coords)) if indices is None else indices
@@ -359,43 +332,6 @@ class AlgElement:
 
     def __repr__(self):
         return f"AlgElement({self.coords})"
-
-
-def decompose(lf: LocalField, matrix) -> tuple[EtaleAlgebra, "AlgElement"]:
-    """Decompose F[gamma] for a square matrix gamma over F.
-
-    Returns the etale algebra together with the image of gamma in it.
-    Raises UnsupportedAlgebraError outside the representable classes.
-    """
-    mat = sympy.Matrix([[sympy.Rational(c) for c in row] for row in matrix])
-    x = sympy.Symbol("x")
-    chi = mat.charpoly(x).as_expr()
-    _, factor_data = sympy.factor_list(sympy.Poly(chi, x))
-    factors = []
-    for poly, mult in factor_data:
-        if mult > 1:
-            raise UnsupportedAlgebraError("characteristic polynomial not squarefree")
-        poly = sympy.Poly(poly, x)
-        coeffs = [Fraction(str(c)) for c in poly.monic().all_coeffs()]
-        if len(coeffs) == 2:
-            factors.append(LineFactor(lf, -coeffs[1]))
-        elif len(coeffs) == 3:
-            _, c1, c0 = coeffs
-            disc = c1 * c1 - 4 * c0
-            d0 = squarefree_kernel(disc)
-            if lf.is_square(Fraction(d0)):
-                raise UnsupportedAlgebraError(
-                    "quadratic factor splits over Q_p with irrational roots")
-            s2 = disc / d0
-            s = ratsqrt(s2)
-            gamma_i = Q2(Fraction(d0), -c1 / 2, s / 2)
-            factors.append(QuadFactor(lf, d0, gamma_i))
-        else:
-            raise UnsupportedAlgebraError(
-                f"irreducible factor of degree {len(coeffs) - 1} over Q")
-    factors.sort(key=lambda f: f.sort_key())
-    alg = EtaleAlgebra(lf, factors)
-    return alg, alg.gamma_element()
 
 
 _U1_COSETS: dict = {}

@@ -25,9 +25,10 @@ from .integrals import (algebra_space, c_empty_closed_form, deep_element,
                         rank1_slice, rank1_slice_zeta, support_radius,
                         torus_orbit_integral, unitary_orbit_integral,
                         weil_index, weil_index_form)
+from .linalg import d_resultant
 from .quadext import Q2
 from .scalar import INF, LocalField, smallest_nonresidue, valuation
-from .spaces import GLTriple, d_resultant
+from .spaces import GLTriple
 from .steps import (LineBlock, MonomialGram, QuadBlock, Space, StepFunction,
                     Term, frac_mod_power)
 from .weilsign import index_ratio

@@ -169,10 +169,3 @@ class LocalField:
         m = (x * pk)
         mm = (m.numerator * pow(m.denominator, -1, pk)) % pk
         return Cyc.root_of_unity(self.p, k, mm)
-
-    def abs_value(self, x) -> Fraction:
-        """|x|_F = q^{-v(x)}; 0 for x = 0."""
-        x = Fraction(x)
-        if x == 0:
-            return Fraction(0)
-        return Fraction(self.q) ** (-valuation(x, self.p))

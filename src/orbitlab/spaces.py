@@ -8,90 +8,18 @@ and Q2 (with d the square class of tau) over the extension.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-
-import sympy
 
 from .cyclo import Cyc
 from .etale import squarefree_kernel
+from .linalg import (char_poly, d_resultant, mat_det, mat_mul, mat_pow_vec,
+                     mat_transpose, mat_vec, vec_mat)
 from .quadext import Q2
 from .scalar import LocalField, valuation
 
 
-# ---------------------------------------------------------------------------
-# generic matrix helpers (entries support +, -, *, /)
-
-
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum((A[i][t] * B[t][j] for t in range(k)),
-                 A[0][0] - A[0][0]) for j in range(m)] for i in range(n)]
-
-
-def mat_vec(A, v):
-    return [sum((A[i][j] * v[j] for j in range(len(v))), A[0][0] - A[0][0])
-            for i in range(len(A))]
-
-
-def vec_mat(v, A):
-    return [sum((v[i] * A[i][j] for i in range(len(v))), A[0][0] - A[0][0])
-            for j in range(len(A[0]))]
-
-
-def mat_pow_vec(A, k, v):
-    for _ in range(k):
-        v = mat_vec(A, v)
-    return v
-
-
-def mat_det(A):
-    n = len(A)
-    zero = A[0][0] - A[0][0]
-    out = zero
-    for perm in itertools.permutations(range(n)):
-        sgn = _perm_sign(perm)
-        term = A[0][perm[0]]
-        for i in range(1, n):
-            term = term * A[i][perm[i]]
-        out = out + (term if sgn == 1 else -term)
-    return out
-
-
-def _perm_sign(perm):
-    sgn = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sgn = -sgn
-    return sgn
-
-
-def mat_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def mat_conj(A):
     return [[c.conj() if isinstance(c, Q2) else c for c in row] for row in A]
-
-
-def char_poly(A):
-    """Coefficients (c_0, ..., c_n) of det(tI - A), ascending, c_n = 1.
-    Faddeev-LeVerrier; needs only division by integers."""
-    n = len(A)
-    zero = A[0][0] - A[0][0]
-    one = zero + 1
-    coeffs = [one]  # leading
-    M = [row[:] for row in A]
-    for k in range(1, n + 1):
-        tr = sum((M[i][i] for i in range(n)), zero)
-        c = -tr / k
-        coeffs.append(c)
-        if k < n:
-            for i in range(n):
-                M[i][i] = M[i][i] + c
-            M = mat_mul(A, M)
-    return tuple(reversed(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -305,35 +233,8 @@ def construct_unitary_match(lf: LocalField, d: GLTriple):
     return delta, w
 
 
-def nice_matching_embed(d1: UnitaryLieElement,
-                        d2: UnitaryLieElement) -> UnitaryLieElement:
-    """The block-diagonal element on the orthogonal direct sum."""
-    space = d1.space.direct_sum(d2.space)
-    n, m = d1.n, d2.n
-    z = e_scalar(d1.space.lf, 0)
-    rows = [[d1.mat[i][j] if i < n and j < n else
-             (d2.mat[i - n][j - n] if i >= n and j >= n else z)
-             for j in range(n + m)] for i in range(n + m)]
-    return UnitaryLieElement(space, rows)
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue-difference products and transfer factors
-
-
-def _sympy_poly(coeffs_ascending):
-    t = sympy.Symbol("t")
-    return sympy.Poly(sum(sympy.Rational(c) * t**i
-                          for i, c in enumerate(coeffs_ascending)), t)
-
-
-def d_resultant(coeffs1, coeffs2) -> Fraction:
-    """prod (x1 - x2) over roots x1 of the first monic polynomial and x2
-    of the second, as the resultant."""
-    r = sympy.resultant(_sympy_poly(coeffs1).as_expr(),
-                        _sympy_poly(coeffs2).as_expr(),
-                        sympy.Symbol("t"))
-    return Fraction(sympy.Rational(r))
 
 
 def endoscopic_factor(lf: LocalField, coeffs1, coeffs2) -> Cyc:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import Cyc
+from .linalg import mat_inverse, smith_zp
 from .scalar import INF, LocalField, valuation
 
 
@@ -117,9 +118,6 @@ class Space:
         for b, l in zip(self.blocks, levels):
             out.extend(b.shape(l))
         return tuple(out)
-
-    def concat(self, other: "Space") -> "Space":
-        return Space(self.lf, self.blocks + other.blocks)
 
     def subspace(self, block_indices) -> "Space":
         return Space(self.lf, [self.blocks[i] for i in block_indices])
@@ -435,12 +433,13 @@ class StepFunction:
         p = lf.p
         A = [[Fraction(c) for c in row] for row in mat]
         b = tuple(Fraction(c) for c in (shift or [0] * n))
-        Ainv = _mat_inverse(A)
+        Ainv = mat_inverse(A)
         At_lam = lambda lam: tuple(
             sum(A[i][j] * lam[i] for i in range(n)) for j in range(n))
         out = []
-        unimodular = (all(valuation(c, p) >= 0 for row in A for c in row)
-                      and valuation(_det(A), p) == 0)
+        # A is in GL_n(Z_p) exactly when A and its inverse are integral
+        unimodular = all(valuation(c, p) >= 0
+                         for M in (A, Ainv) for row in M for c in row)
         col_of = [next((j for j in range(n) if A[i][j]), None)
                   for i in range(n)]
         monomial = (all(sum(1 for c in row if c) == 1 for row in A)
@@ -580,114 +579,9 @@ class MonomialGram:
     def identity(n: int) -> "MonomialGram":
         return MonomialGram(range(n), [1] * n)
 
-    @staticmethod
-    def diagonal(scales) -> "MonomialGram":
-        return MonomialGram(range(len(scales)), scales)
-
-    def apply(self, x):
-        return tuple(self.scales[j] * x[self.perm[j]] for j in range(len(x)))
-
-    def matrix(self):
-        n = len(self.perm)
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            out[j][self.perm[j]] = self.scales[j]
-        return out
-
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over Q and box decompositions over Z_p
-
-
-def _det(A):
-    n = len(A)
-    M = [row[:] for row in A]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = Fraction(1) / M[col][col]
-        for r in range(col + 1, n):
-            fac = M[r][col] * inv
-            if fac:
-                M[r] = [a - fac * b for a, b in zip(M[r], M[col])]
-    return det
-
-
-def _mat_inverse(A):
-    n = len(A)
-    M = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [a * inv for a in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                fac = M[r][col]
-                M[r] = [a - fac * b for a, b in zip(M[r], M[col])]
-    return [row[n:] for row in M]
-
-
-def smith_zp(B, p: int):
-    """Z_p-Smith form: returns (U, d) with B Z_p^n = U diag(p^{d_i}) Z_p^n
-    and U in GL_n(Z_p), all entries exact rationals.
-
-    Row operations E on the working matrix are compensated by the column
-    operation U -> U E^{-1}, keeping B Z_p^n = U M Z_p^n; column operations
-    on M leave the lattice unchanged.
-    """
-    n = len(B)
-    M = [row[:] for row in B]
-    U = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i in range(n)]
-    d = [0] * n
-    for k in range(n):
-        best = None
-        bv = None
-        for i in range(k, n):
-            for j in range(k, n):
-                if M[i][j]:
-                    v = valuation(M[i][j], p)
-                    if bv is None or v < bv:
-                        bv, best = v, (i, j)
-        if best is None:
-            raise ValueError("singular lattice matrix")
-        bi, bj = best
-        if bi != k:
-            M[k], M[bi] = M[bi], M[k]
-            for row in U:
-                row[k], row[bi] = row[bi], row[k]
-        for row in M:
-            row[k], row[bj] = row[bj], row[k]
-        piv = M[k][k]
-        # clear the column below using integral multipliers
-        for i in range(k + 1, n):
-            if M[i][k]:
-                fac = M[i][k] / piv
-                M[i] = [a - fac * b for a, b in zip(M[i], M[k])]
-                for row in U:
-                    row[k] += fac * row[i]
-        # clear the row to the right (column ops on M only)
-        for j in range(k + 1, n):
-            if M[k][j]:
-                fac = M[k][j] / piv
-                for row in M:
-                    row[j] -= fac * row[k]
-        d[k] = valuation(piv, p)
-        # absorb the unit part of the pivot by a unit column op on M
-        unit = piv / Fraction(p) ** d[k]
-        for row in M:
-            row[k] /= unit
-    return U, d
+# box decompositions over Z_p
 
 
 def _lattice_boxes(B, p: int):
@@ -717,10 +611,3 @@ def _lattice_boxes(B, p: int):
             j += 1
         else:
             break
-        if j == n:
-            break
-
-
-def d_needed(c: Fraction, p: int) -> int:
-    v = valuation(c, p)
-    return max(0, -v) if c else 0

@@ -9,9 +9,10 @@ from fractions import Fraction
 
 from .cyclo import Cyc
 from .integrals import weil_index_form
+from .linalg import mat_mul, nullspace
 from .quadext import Q2
 from .scalar import LocalField
-from .spaces import HermitianSpace, e_matrix, ext_square_class, mat_mul
+from .spaces import HermitianSpace, ext_square_class
 
 
 def selfadjoint_basis(space: HermitianSpace):
@@ -48,38 +49,10 @@ def selfadjoint_basis(space: HermitianSpace):
                 im[b_idx + 1] -= h2.a
             rows.append(re)
             rows.append(im)
-    basis_vecs = _nullspace(rows, N)
+    basis_vecs = nullspace(rows)
     out = []
     for vec in basis_vecs:
         out.append([[entry(vec, i, j) for j in range(n)] for i in range(n)])
-    return out
-
-
-def _nullspace(rows, N):
-    M = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(N):
-        piv = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = Fraction(1) / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(N) if c not in pivots]
-    out = []
-    for fc in free:
-        vec = [Fraction(0)] * N
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -M[i][fc]
-        out.append(vec)
     return out
 
 

@@ -257,15 +257,6 @@ class Cell:
         inv = c.inverse() if hasattr(c, "inverse") else Fraction(1) / c
         self.meet_coset(fac, inv, level - 2 * v)
 
-    def meet_window(self, vmin=None, vmax=None):
-        if vmin is not None:
-            self.vmin = max(self.vmin, vmin)
-        if vmax is not None:
-            self.vmax = min(self.vmax, vmax)
-        if self.vmin > self.vmax:
-            self.empty = True
-        return self
-
 
 def factor_zeta(fac, cell: Cell, use_char: bool, sigma: int, p) -> ZetaElement:
     """Closed form of the integral over the cell of chi_i(t)^{use_char}

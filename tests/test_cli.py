@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -12,6 +16,17 @@ def test_help_lists_subcommands():
                  "descent-fourier", "fl-check", "weil-sign", "hilbert",
                  "classify-hermitian", "match-orbit", "zeta"):
         assert name in result.output
+    assert "--max-level" not in result.output
+
+
+def test_runtime_does_not_import_sympy():
+    # a fresh interpreter: the test modules import sympy themselves
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = ("import orbitlab.cli, orbitlab.harness, sys; "
+            "assert 'sympy' not in sys.modules")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_hilbert_subcommand():

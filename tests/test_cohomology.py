@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 from orbitlab.cohomology import (H1Class, all_classes, delta_family, inv,
-                                 kappa_sign, subset_pairing)
+                                 kappa_sign, matrix_of, poly_coeffs,
+                                 subset_pairing)
 from orbitlab.etale import EtaleAlgebra, LineFactor, QuadFactor
 from orbitlab.harness import _companion_triple
+from orbitlab.linalg import mat_mul
 from orbitlab.scalar import LocalField
 
 
@@ -62,3 +64,38 @@ def test_kappa_sign_restricts_the_pairing(lf3):
         assert kappa_sign(alg, [0, 1], x) == subset_pairing(alg, (), x)
         assert kappa_sign(alg, [0], x) * kappa_sign(alg, [1], x) == \
             kappa_sign(alg, [0, 1], x)
+
+
+def _power_sum(cs, g):
+    """sum c_k g^k from explicit powers of g."""
+    n = len(g)
+    zero = g[0][0] - g[0][0]
+    P = [[zero + 1 if i == j else zero for j in range(n)] for i in range(n)]
+    out = [[zero] * n for _ in range(n)]
+    for c in cs:
+        out = [[a + b * c for a, b in zip(r, s)] for r, s in zip(out, P)]
+        P = mat_mul(g, P)
+    return out
+
+
+def test_matrix_of_on_companion_triples(lf3):
+    rng = random.Random(6)
+    for factors in ([LineFactor(lf3, Fraction(0)),
+                     LineFactor(lf3, Fraction(1))],
+                    [LineFactor(lf3, Fraction(2)), QuadFactor(lf3, 2),
+                     QuadFactor(lf3, 3)]):
+        alg = _alg(lf3, factors)
+        d = _companion_triple(alg, rng)
+        delta, _ = delta_family(lf3, d, alg)[H1Class.zero(alg)]
+        n = alg.dim()
+        for g in (d.gamma, delta.mat):
+            zero = g[0][0] - g[0][0]
+            ident = [[zero + 1 if i == j else zero for j in range(n)]
+                     for i in range(n)]
+            assert matrix_of(alg, alg.one(), g) == ident
+            assert matrix_of(alg, alg.gamma_element(), g) == g
+            elt = alg.element([f.from_coords([Fraction(k + 1, 2)] *
+                                             f.degree)
+                               for k, f in enumerate(alg.factors)])
+            assert matrix_of(alg, elt, g) == \
+                _power_sum(poly_coeffs(alg, elt), g)

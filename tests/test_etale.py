@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from orbitlab.etale import (EtaleAlgebra, LineFactor, QuadFactor,
                             UnsupportedAlgebraError, _e_residue_key,
-                            decompose, squarefree_kernel, u1_cosets)
+                            squarefree_kernel, u1_cosets)
 from orbitlab.quadext import Q2
 from orbitlab.scalar import LocalField, ratsqrt, smallest_nonresidue
 
@@ -14,6 +15,27 @@ def test_squarefree_kernel():
     assert squarefree_kernel(Fraction(9, 4)) == 1
     assert squarefree_kernel(Fraction(18)) == 2
     assert squarefree_kernel(Fraction(-8)) == -2
+
+
+def _kernel_by_factorint(n: int) -> int:
+    d0 = -1 if n < 0 else 1
+    for prime, exp in sympy.factorint(abs(n)).items():
+        if exp % 2:
+            d0 *= prime
+    return d0
+
+
+def test_squarefree_kernel_against_sympy():
+    for n in range(1, 3001):
+        for m in (n, -n):
+            assert squarefree_kernel(Fraction(m)) == _kernel_by_factorint(m)
+    for x in (Fraction(2, 9), Fraction(-27, 50), Fraction(49, 12),
+              Fraction(1, 2999), Fraction(-4096, 675),
+              Fraction(3 * 7919**2, 5), Fraction(1, 36)):
+        n = x.numerator * x.denominator
+        assert squarefree_kernel(x) == _kernel_by_factorint(n)
+    with pytest.raises(ValueError):
+        squarefree_kernel(Fraction(0))
 
 
 def test_quad_factor_classification(lf3):
@@ -35,25 +57,6 @@ def test_repeated_factors_rejected(lf3):
     with pytest.raises(UnsupportedAlgebraError):
         EtaleAlgebra(lf3, [LineFactor(lf3, Fraction(1)),
                            LineFactor(lf3, Fraction(1))])
-
-
-def test_decompose_round_trip(lf3):
-    # companion matrix of (x - 1)(x^2 - 2)
-    m = [[1, 0, 0], [0, 0, 2], [0, 1, 0]]
-    alg, gamma = decompose(lf3, m)
-    assert alg.m == 2
-    assert alg.dim() == 3
-    assert sorted(alg.S1() + alg.S2()) == [0, 1]
-    # the characteristic polynomial is recovered exactly
-    from orbitlab.spaces import char_poly
-    cp = char_poly([[Fraction(c) for c in row] for row in m])
-    alg_cp = alg.char_poly()
-    assert list(alg_cp) == [Fraction(1)] + [cp[i] for i in (2, 1, 0)]
-
-
-def test_decompose_rejects_non_squarefree(lf3):
-    with pytest.raises(UnsupportedAlgebraError):
-        decompose(lf3, [[1, 0], [0, 1]])
 
 
 def test_u1_cosets_have_norm_one():

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from orbitlab.linalg import char_poly, d_resultant, mat_det, mat_mul
 from orbitlab.scalar import LocalField
-from orbitlab.spaces import (GLTriple, HermitianSpace, char_poly,
-                             construct_unitary_match, d_resultant,
-                             endoscopic_factor, mat_det, mat_mul,
+from orbitlab.spaces import (GLTriple, HermitianSpace,
+                             construct_unitary_match, endoscopic_factor,
                              match_predicate)
 
 
