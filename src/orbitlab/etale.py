@@ -38,7 +38,7 @@ def squarefree_kernel(x) -> int:
             e += 1
         if e % 2:
             d0 *= k
-        k += 1 if k == 2 else 2
+        k += 1
     return d0 * n  # what is left is 1 or a prime
 
 
