@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import click
 
-from orbitlab.harness import construct_jr_transfer_n1, random_step_function
-from orbitlab.integrals import gl_orbit_integral, unitary_orbit_integral
+from orbitlab.harness import random_step_function
+from orbitlab.integrals import (construct_jr_transfer_n1, gl_orbit_integral,
+                                unitary_orbit_integral)
 from orbitlab.scalar import LocalField
 from orbitlab.spaces import GLTriple
 from orbitlab.steps import Space

@@ -12,7 +12,7 @@ from fractions import Fraction
 import click
 
 from orbitlab.etale import EtaleAlgebra, LineFactor, QuadFactor
-from orbitlab.harness import default_tau, random_step_function
+from orbitlab.harness import random_step_function
 from orbitlab.integrals import (algebra_space, deep_element, germ_extract,
                                 torus_orbit_integral)
 from orbitlab.scalar import LocalField
@@ -25,7 +25,7 @@ from orbitlab.scalar import LocalField
                    "quadratic factor.")
 @click.option("--seed", type=int, default=0)
 def main(p, mix, seed):
-    lf = LocalField(p, default_tau(p))
+    lf = LocalField(p)
     factors = []
     for tokn in mix.split(","):
         kind, arg = tokn[0].upper(), Fraction(tokn[1:])

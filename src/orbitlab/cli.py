@@ -22,39 +22,22 @@ from .steps import Space, StepFunction
 DEFAULT_LEDGER_ENV = "ORBITLAB_LEDGER"
 
 
+# suite parameter -> the group option that sets it
+SUITE_OPTIONS = {"p_list": "--p", "tau": "--tau", "seed": "--seed",
+                 "instances": "--instances", "ledger": "--ledger"}
+
+
 def _local_field(ctx) -> LocalField:
-    p = ctx.obj["p"] or 3
-    tau = ctx.obj["tau"] or harness.default_tau(p)
-    return LocalField(p, tau)
+    return LocalField(ctx.obj["p"] or 3, ctx.obj["tau"])
 
 
-def _p_list(ctx, default=(3, 5)):
-    return (ctx.obj["p"],) if ctx.obj["p"] else default
-
-
-def _ledger(ctx) -> harness.NormalizationLedger:
-    path = ctx.obj["ledger"] or os.environ.get(DEFAULT_LEDGER_ENV)
-    if path and os.path.exists(path):
-        return harness.NormalizationLedger.load(path)
-    return harness.NormalizationLedger()
-
-
-def _finish(ctx, reports, ledger=None):
-    """Print one summary line per suite, write report/ledger files, and
-    exit nonzero when any blocking suite fails."""
-    for rep in reports:
-        click.echo(rep.summary())
-        for rec in rep.failures()[:3]:
-            click.echo(f"  failed: {rec['detail']}")
-    out = ctx.obj["out"]
-    if out:
-        with open(out, "w") as fh:
-            json.dump([rep.to_json() for rep in reports], fh, indent=2)
-    path = ctx.obj["ledger"] or os.environ.get(DEFAULT_LEDGER_ENV)
-    if path and ledger is not None:
-        ledger.save(path)
-    if any(rep.blocking and not rep.passed for rep in reports):
-        sys.exit(1)
+def _suite_options(ctx) -> dict:
+    """The suite parameters set on the command line, by parameter name."""
+    o = ctx.obj
+    given = {"p_list": (o["p"],) if o["p"] is not None else None,
+             "tau": o["tau"], "seed": o["seed"],
+             "instances": o["instances"], "ledger": o["ledger"]}
+    return {k: v for k, v in given.items() if v is not None}
 
 
 def _load_json_arg(text):
@@ -63,6 +46,15 @@ def _load_json_arg(text):
         with open(text) as fh:
             return json.load(fh)
     return json.loads(text)
+
+
+def _step_function(lf: LocalField, f_json, dim: int) -> StepFunction:
+    """The step function given as JSON (inline or a file), or else the
+    unit-lattice indicator on F^dim."""
+    if f_json is None:
+        return StepFunction.indicator(Space.lines(lf, dim), [0] * dim,
+                                      [0] * dim)
+    return StepFunction.from_json(_load_json_arg(f_json), lf)
 
 
 def _frac(x) -> Fraction:
@@ -75,7 +67,8 @@ def _frac(x) -> Fraction:
 @click.option("--p", type=int, default=None, help="Residue prime (odd).")
 @click.option("--tau", type=str, default=None,
               help="Non-square generating the quadratic extension.")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, default=None,
+              help="Seed of the randomized suites (default 0).")
 @click.option("--instances", type=int, default=None,
               help="Randomized instances per suite.")
 @click.option("--ledger", type=click.Path(), default=None,
@@ -91,90 +84,55 @@ def main(ctx, p, tau, seed, instances, ledger, out):
                    instances=instances, ledger=ledger, out=out)
 
 
-@main.command("germ-verify")
+def _run_suites(ctx, names, quick=False):
+    """Run the named suites, each with the group options it declares.
+    Print one summary line per suite, write the report and ledger files,
+    and exit nonzero when any blocking suite fails."""
+    path = ctx.obj["ledger"] or os.environ.get(DEFAULT_LEDGER_ENV)
+    led = (harness.NormalizationLedger.load(path)
+           if path and os.path.exists(path) else harness.NormalizationLedger())
+    options = dict(_suite_options(ctx), ledger=led)
+    reports = [harness.run_suite(name, quick, **options) for name in names]
+    for rep in reports:
+        if rep.calibration is not None:
+            click.echo(f"calibration constant: {rep.calibration}")
+        click.echo(rep.summary())
+        for rec in rep.failures()[:3]:
+            click.echo(f"  failed: {rec['detail']}")
+    if ctx.obj["out"]:
+        with open(ctx.obj["out"], "w") as fh:
+            json.dump([rep.to_json() for rep in reports], fh, indent=2)
+    if path and any("ledger" in harness.suite_parameters(name)
+                    for name in names):
+        led.save(path)
+    if any(rep.blocking and not rep.passed for rep in reports):
+        sys.exit(1)
+
+
+@main.command("run")
+@click.argument("names", nargs=-1, required=True,
+                type=click.Choice(list(harness.SUITES)))
 @click.pass_context
-def germ_verify(ctx):
-    """Germ expansions of torus orbit integrals, all factor mixes m <= 3."""
-    rep = harness.verify_torus_germ(
-        p_list=_p_list(ctx), seed=ctx.obj["seed"],
-        instances=ctx.obj["instances"] or 50, tau=ctx.obj["tau"])
-    _finish(ctx, [rep])
-
-
-@main.command("nilpotent-identity")
-@click.pass_context
-def nilpotent_identity(ctx):
-    """Rank-one nilpotent orbit-integral identity against constructed
-    matching pairs, with a measured-then-frozen calibration constant."""
-    led = _ledger(ctx)
-    rep = harness.verify_nilpotent_identity(
-        p_list=_p_list(ctx), seed=ctx.obj["seed"],
-        instances=ctx.obj["instances"] or 100, ledger=led)
-    if rep.calibration is not None:
-        click.echo(f"calibration constant: {rep.calibration}")
-    _finish(ctx, [rep], ledger=led)
-
-
-@main.command("descent-verify")
-@click.pass_context
-def descent_verify(ctx):
-    """Rank-two parabolic descent against the direct engine."""
-    rep = harness.verify_descent(
-        p=ctx.obj["p"] or 3, seed=ctx.obj["seed"],
-        instances=ctx.obj["instances"] or 20, tau=ctx.obj["tau"])
-    _finish(ctx, [rep])
-
-
-@main.command("descent-fourier")
-@click.pass_context
-def descent_fourier(ctx):
-    """Commutation of parabolic descent with the Fourier transforms."""
-    rep = harness.verify_descent_fourier(
-        p=ctx.obj["p"] or 3, seed=ctx.obj["seed"],
-        instances=ctx.obj["instances"] or 20)
-    _finish(ctx, [rep])
-
-
-@main.command("fl-check")
-@click.option("--n", type=int, default=1, help="Rank of the check.")
-@click.pass_context
-def fl_check(ctx, n):
-    """Unit-function matching: rank one exactly; rank two reports the
-    unimplemented anisotropic case honestly (non-blocking)."""
-    if n == 1:
-        rep = harness.verify_fl_n1(p_list=_p_list(ctx))
-    elif n == 2:
-        rep = harness.verify_rank2_stretch()
-    else:
-        raise click.BadParameter("only n = 1 (and the n = 2 stretch) exist")
-    _finish(ctx, [rep])
-
-
-@main.command("weil-sign")
-@click.pass_context
-def weil_sign(ctx):
-    """Quadratic-form index suite: inverses, products, scaling defects,
-    and the cross-class trace-form index ratio."""
-    rep = harness.verify_weil_suite(p_list=_p_list(ctx, (3, 5, 7)))
-    _finish(ctx, [rep])
-
-
-@main.command("hilbert")
-@click.pass_context
-def hilbert(ctx):
-    """Hilbert symbol against a brute-force solvability oracle."""
-    rep = harness.verify_hilbert_oracle(p_list=_p_list(ctx, (3, 5, 7)))
-    _finish(ctx, [rep])
+def run(ctx, names):
+    """The named verification suites.  A group option that a named suite
+    does not take is a usage error."""
+    for name in names:
+        params = harness.suite_parameters(name)
+        for key in _suite_options(ctx):
+            if key not in params:
+                raise click.UsageError(
+                    f"suite {name} does not take {SUITE_OPTIONS[key]}")
+    _run_suites(ctx, names)
 
 
 @main.command("all")
-@click.option("--quick", is_flag=True, help="Reduced instance counts.")
+@click.option("--quick", is_flag=True,
+              help="A tenth of each default instance count (at least 2).")
 @click.pass_context
 def run_all(ctx, quick):
-    """Every verification suite; exit 0 iff all blocking suites pass."""
-    led = _ledger(ctx)
-    reports = harness.run_all(seed=ctx.obj["seed"], quick=quick, ledger=led)
-    _finish(ctx, reports, ledger=led)
+    """Every verification suite, each with the group options it takes;
+    exit 0 iff all blocking suites pass."""
+    _run_suites(ctx, harness.SUITES, quick)
 
 
 @main.command("classify-hermitian")
@@ -240,12 +198,7 @@ def zeta(ctx, roots, eps, f_json):
     lf = _local_field(ctx)
     alg = EtaleAlgebra(lf, [LineFactor(lf, _frac(r))
                             for r in _load_json_arg(roots)])
-    m = alg.m
-    if f_json is None:
-        space = Space.lines(lf, 2 * m)
-        f = StepFunction.indicator(space, [Fraction(0)] * 2 * m, [0] * 2 * m)
-    else:
-        f = StepFunction.from_json(_load_json_arg(f_json), lf)
+    f = _step_function(lf, f_json, 2 * alg.m)
     e = (alg.one() if eps is None
          else alg.element([_frac(c) for c in _load_json_arg(eps)]))
     val = torus_orbit_integral(alg, f, e)
@@ -263,11 +216,7 @@ def zeta(ctx, roots, eps, f_json):
 def orbit(ctx, gamma, v, vstar, f_json):
     """Rank-one regular semisimple orbit integral on the linear side."""
     lf = _local_field(ctx)
-    if f_json is None:
-        space = Space.lines(lf, 3)
-        f = StepFunction.indicator(space, [Fraction(0)] * 3, [0] * 3)
-    else:
-        f = StepFunction.from_json(_load_json_arg(f_json), lf)
+    f = _step_function(lf, f_json, 3)
     d = GLTriple([[_frac(gamma)]], [_frac(v)], [_frac(vstar)])
     click.echo(f"value: {gl_orbit_integral(lf, f, d)}")
 

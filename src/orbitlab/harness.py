@@ -1,14 +1,16 @@
 """End-to-end verification suites: germ expansions, rank-one closed forms,
 Fourier involution, parabolic descent and its Fourier commutation, index
-signs, symbol oracles, class-group torsors, the rank-one matching-function
-construction, the nilpotent orbit-integral identity, and the unit-function
-matching check.  Every suite is deterministic given (seed, p, tau) and
-reports exact pass/fail per instance.
+signs, symbol oracles, class-group torsors, the nilpotent orbit-integral
+identity with an end-to-end check of the rank-one matching pair, and the
+unit-function matching check; the registry of these suites, the
+calibration-constant ledger and the reports.  Every suite is deterministic
+given (seed, p, tau) and reports exact pass/fail per instance.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import json
 import random
@@ -19,20 +21,20 @@ from .cohomology import (H1Class, all_classes, delta_family, inv,
                          kappa_sign, subset_pairing)
 from .cyclo import Cyc
 from .etale import EtaleAlgebra, LineFactor, QuadFactor, squarefree_kernel
-from .integrals import (algebra_space, c_empty_closed_form, deep_element,
-                        germ_extract, gl_orbit_integral,
-                        nilpotent_orbit_integral_gl, parabolic_descent,
-                        rank1_slice, rank1_slice_zeta, support_radius,
+from .integrals import (_rank2_torus_value, algebra_space,
+                        c_empty_closed_form, construct_jr_transfer_n1,
+                        deep_element, germ_extract, gl_orbit_integral,
+                        nilpotent_orbit_integral_gl, nonnorm_scalar,
+                        parabolic_descent, rank1_slice,
                         torus_orbit_integral, unitary_orbit_integral,
                         weil_index, weil_index_form)
 from .linalg import d_resultant
 from .quadext import Q2
-from .scalar import INF, LocalField, smallest_nonresidue, valuation
+from .scalar import LocalField, smallest_nonresidue, valuation
 from .spaces import GLTriple
 from .steps import (LineBlock, MonomialGram, QuadBlock, Space, StepFunction,
-                    Term, frac_mod_power)
+                    Term)
 from .weilsign import index_ratio
-from .zeta import FactorMode, mult_zeta
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +159,6 @@ def random_step_function(space: Space, rng, nterms=3, maxlev=1,
     return StepFunction(space, terms)
 
 
-def default_tau(p: int) -> Fraction:
-    return Fraction(smallest_nonresidue(p))
-
-
 def germ_mixes(lf: LocalField):
     """A catalog of factor mixes with m <= 3 covering line and quadratic
     factors inside and outside the class of the extension generator."""
@@ -209,12 +207,11 @@ def _germ_grid_check(alg: EtaleAlgebra, f: StepFunction, germ):
 
 
 @_timed_suite
-def verify_torus_germ(p_list=(3, 5), seed=0, instances=50,
+def verify_torus_germ(instances, p_list=(3, 5), seed=0,
                       tau=None) -> VerificationReport:
     report = VerificationReport("torus-germ")
     for p in p_list:
-        lf = LocalField(p, Fraction(tau) if tau is not None
-                        else default_tau(p))
+        lf = LocalField(p, tau)
         mixes = germ_mixes(lf)
         per_mix = max(1, instances // len(mixes))
         for mi, mix in enumerate(mixes):
@@ -244,44 +241,45 @@ def verify_torus_germ(p_list=(3, 5), seed=0, instances=50,
 
 
 @_timed_suite
-def verify_m1_closed_forms(p=3, tau=None) -> VerificationReport:
+def verify_m1_closed_forms(p_list=(3,), tau=None) -> VerificationReport:
     """Hand-derived shell formulas for the three generating families: the
     unit-lattice indicator (constant plus valuation term), and the two
     one-sided coset families (single-coset volumes)."""
     report = VerificationReport("m1-closed-forms")
-    lf = LocalField(p, Fraction(tau) if tau is not None else default_tau(p))
-    u = smallest_nonresidue(p)
-    t0 = squarefree_kernel(lf.tau)
-    factors = [LineFactor(lf, Fraction(0)), QuadFactor(lf, t0)]
-    factors += [QuadFactor(lf, d) for d in (u, p, u * p)
-                if squarefree_kernel(Fraction(d)) != t0]
-    for fac in factors:
-        alg = EtaleAlgebra(lf, [fac])
-        sp = algebra_space(alg)
-        one = Cyc.one(p)
-        zero_c = (Fraction(0),) * sp.dim
-        unit_c = tuple(Fraction(1) if i in (0, fac.degree) else Fraction(0)
-                       for i in range(sp.dim))
-        lattice = StepFunction(sp, [Term(one, zero_c, (0, 0))])
-        away2 = StepFunction(sp, [Term(one, unit_c, (0, 1))])
-        away1 = StepFunction(sp, [Term(one, unit_c, (1, 0))])
-        mu = Cyc.rational(Fraction(1, fac.q - 1), p)
-        for depth in range(6, 10):
-            for s in ((1,) if fac.contains_E() else (1, -1)):
-                eps = alg.element([deep_element(fac, depth, s)])
-                v = fac.val(eps.coords[0])
-                got1 = torus_orbit_integral(alg, lattice, eps)
-                if fac.contains_E():
-                    want1 = Cyc.rational(Fraction(v + 1), p)
-                elif fac.chi_ramified_on_units():
-                    want1 = Cyc.zero(p)
-                else:
-                    want1 = Cyc.rational(Fraction(1 + s, 2), p)
-                got2 = torus_orbit_integral(alg, away2, eps)
-                want2 = mu * fac.chi(eps.coords[0])
-                got3 = torus_orbit_integral(alg, away1, eps)
-                report.add(got1 == want1 and got2 == want2 and got3 == mu,
-                           f"factor={fac!r} depth={depth} sign={s}")
+    for p in p_list:
+        lf = LocalField(p, tau)
+        u = smallest_nonresidue(p)
+        t0 = squarefree_kernel(lf.tau)
+        factors = [LineFactor(lf, Fraction(0)), QuadFactor(lf, t0)]
+        factors += [QuadFactor(lf, d) for d in (u, p, u * p)
+                    if squarefree_kernel(Fraction(d)) != t0]
+        for fac in factors:
+            alg = EtaleAlgebra(lf, [fac])
+            sp = algebra_space(alg)
+            one = Cyc.one(p)
+            zero_c = (Fraction(0),) * sp.dim
+            unit_c = tuple(Fraction(1) if i in (0, fac.degree) else Fraction(0)
+                           for i in range(sp.dim))
+            lattice = StepFunction(sp, [Term(one, zero_c, (0, 0))])
+            away2 = StepFunction(sp, [Term(one, unit_c, (0, 1))])
+            away1 = StepFunction(sp, [Term(one, unit_c, (1, 0))])
+            mu = Cyc.rational(Fraction(1, fac.q - 1), p)
+            for depth in range(6, 10):
+                for s in ((1,) if fac.contains_E() else (1, -1)):
+                    eps = alg.element([deep_element(fac, depth, s)])
+                    v = fac.val(eps.coords[0])
+                    got1 = torus_orbit_integral(alg, lattice, eps)
+                    if fac.contains_E():
+                        want1 = Cyc.rational(Fraction(v + 1), p)
+                    elif fac.chi_ramified_on_units():
+                        want1 = Cyc.zero(p)
+                    else:
+                        want1 = Cyc.rational(Fraction(1 + s, 2), p)
+                    got2 = torus_orbit_integral(alg, away2, eps)
+                    want2 = mu * fac.chi(eps.coords[0])
+                    got3 = torus_orbit_integral(alg, away1, eps)
+                    report.add(got1 == want1 and got2 == want2 and got3 == mu,
+                               f"factor={fac!r} depth={depth} sign={s}")
     return report
 
 
@@ -302,28 +300,29 @@ def _random_involution_gram(dim: int, rng) -> MonomialGram:
 
 
 @_timed_suite
-def verify_fourier_involution(p=3, seed=0, instances=100) -> \
+def verify_fourier_involution(instances, p_list=(3,), seed=0) -> \
         VerificationReport:
     report = VerificationReport("fourier-involution")
-    lf = LocalField(p, default_tau(p))
-    rng = random.Random(f"{seed}/{p}/fourier")
-    for i in range(instances):
-        dim = rng.randint(1, 4)
-        sp = Space.lines(lf, dim)
-        terms = []
-        for _ in range(rng.randint(1, 3)):
-            coeff = Cyc.rational(Fraction(rng.randint(-3, 3)), p)
-            center = tuple(Fraction(rng.randint(-2, 2), rng.choice([1, p]))
-                           for _ in range(dim))
-            levels = tuple(rng.randint(-1, 1) for _ in range(dim))
-            phase = tuple(Fraction(rng.randint(0, p - 1), p)
-                          for _ in range(dim))
-            terms.append(Term(coeff, center, levels, phase))
-        f = StepFunction(sp, terms)
-        gram = MonomialGram.identity(dim) if i % 2 == 0 else \
-            _random_involution_gram(dim, rng)
-        ok = f.fourier(gram).fourier(gram) == f.parity_flip()
-        report.add(ok, f"dim={dim}", witness=None if ok else f.to_json())
+    for p in p_list:
+        lf = LocalField(p)
+        rng = random.Random(f"{seed}/{p}/fourier")
+        for i in range(instances):
+            dim = rng.randint(1, 4)
+            sp = Space.lines(lf, dim)
+            terms = []
+            for _ in range(rng.randint(1, 3)):
+                coeff = Cyc.rational(Fraction(rng.randint(-3, 3)), p)
+                center = tuple(Fraction(rng.randint(-2, 2), rng.choice([1, p]))
+                               for _ in range(dim))
+                levels = tuple(rng.randint(-1, 1) for _ in range(dim))
+                phase = tuple(Fraction(rng.randint(0, p - 1), p)
+                              for _ in range(dim))
+                terms.append(Term(coeff, center, levels, phase))
+            f = StepFunction(sp, terms)
+            gram = MonomialGram.identity(dim) if i % 2 == 0 else \
+                _random_involution_gram(dim, rng)
+            ok = f.fourier(gram).fourier(gram) == f.parity_flip()
+            report.add(ok, f"dim={dim}", witness=None if ok else f.to_json())
     return report
 
 
@@ -347,20 +346,7 @@ def _descent_route(lf: LocalField, f: StepFunction, d: GLTriple) -> Cyc:
     diag = [[sc[i] if i == j else Fraction(0) for j in range(4)]
             for i in range(4)]
     h = h.affine_pullback(diag)
-    alg = EtaleAlgebra(lf, [LineFactor(lf, l1), LineFactor(lf, l2)])
-    pos = [None, None]
-    for i, fac in enumerate(alg.factors):
-        pos[0 if fac.root == l1 else 1] = i
-    perm = [None] * 4
-    perm[pos[0]], perm[pos[1]] = 0, 1
-    perm[2 + pos[0]], perm[2 + pos[1]] = 2, 3
-    P = [[Fraction(1) if perm[i] == j else Fraction(0) for j in range(4)]
-         for i in range(4)]
-    h = h.affine_pullback(P)
-    modes = [None, None]
-    modes[pos[0]] = FactorMode(slot2=False, sigma=1, char=True)
-    modes[pos[1]] = FactorMode(slot1=False, sigma=-1, char=True)
-    val = mult_zeta(alg, h, modes).value_at_one()
+    val = _rank2_torus_value(lf, h, l1, l2)
     return val * Fraction(lf.q) ** valuation(l2 - l1, lf.p)
 
 
@@ -376,40 +362,44 @@ def _random_descent_instance(lf, rng):
 
 
 @_timed_suite
-def verify_descent(p=3, seed=0, instances=20, tau=None) -> \
+def verify_descent(instances, p_list=(3,), seed=0, tau=None) -> \
         VerificationReport:
     report = VerificationReport("parabolic-descent")
-    lf = LocalField(p, Fraction(tau) if tau is not None else default_tau(p))
-    rng = random.Random(f"{seed}/{p}/descent")
-    # anchor cases where the eigenvalue-difference factor is 1 and 1/q
-    for l2 in (Fraction(1), Fraction(p)):
-        f, _ = _random_descent_instance(lf, rng)
-        d = GLTriple([[0, 0], [0, l2]], [1, 0], [0, 1])
-        lhs = nilpotent_orbit_integral_gl(lf, f, d)
-        rhs = _descent_route(lf, f, d)
-        report.add(lhs == rhs, f"anchor lambda=diag(0,{l2})")
-    for i in range(instances):
-        f, d = _random_descent_instance(lf, rng)
-        lhs = nilpotent_orbit_integral_gl(lf, f, d)
-        rhs = _descent_route(lf, f, d)
-        report.add(lhs == rhs, f"instance {i}",
-                   witness=None if lhs == rhs else
-                   {"f": f.to_json(), "triple": d.to_json()})
+    for p in p_list:
+        lf = LocalField(p, tau)
+        rng = random.Random(f"{seed}/{p}/descent")
+        # anchor cases where the eigenvalue-difference factor is 1 and 1/q
+        for l2 in (Fraction(1), Fraction(p)):
+            f, _ = _random_descent_instance(lf, rng)
+            d = GLTriple([[0, 0], [0, l2]], [1, 0], [0, 1])
+            lhs = nilpotent_orbit_integral_gl(lf, f, d)
+            rhs = _descent_route(lf, f, d)
+            report.add(lhs == rhs, f"anchor lambda=diag(0,{l2})")
+        for i in range(instances):
+            f, d = _random_descent_instance(lf, rng)
+            lhs = nilpotent_orbit_integral_gl(lf, f, d)
+            rhs = _descent_route(lf, f, d)
+            report.add(lhs == rhs, f"instance {i}",
+                       witness=None if lhs == rhs else
+                       {"f": f.to_json(), "triple": d.to_json()})
     return report
 
 
 @_timed_suite
-def verify_descent_fourier(p=3, seed=0, instances=20) -> VerificationReport:
+def verify_descent_fourier(instances, p_list=(3,), seed=0) -> \
+        VerificationReport:
     report = VerificationReport("descent-fourier")
-    lf = LocalField(p, default_tau(p))
-    rng = random.Random(f"{seed}/{p}/descent-fourier")
-    sp8 = Space.lines(lf, 8)
-    for i in range(instances):
-        f = random_step_function(sp8, rng, nterms=2, maxlev=1, lo=-1, hi=1)
-        a = parabolic_descent(lf, f.fourier(GRAM8))
-        b = parabolic_descent(lf, f).fourier(GRAM6)
-        ok = a == b
-        report.add(ok, f"instance {i}", witness=None if ok else f.to_json())
+    for p in p_list:
+        lf = LocalField(p)
+        rng = random.Random(f"{seed}/{p}/descent-fourier")
+        sp8 = Space.lines(lf, 8)
+        for i in range(instances):
+            f = random_step_function(sp8, rng, nterms=2, maxlev=1, lo=-1, hi=1)
+            a = parabolic_descent(lf, f.fourier(GRAM8))
+            b = parabolic_descent(lf, f).fourier(GRAM6)
+            ok = a == b
+            report.add(ok, f"instance {i}",
+                       witness=None if ok else f.to_json())
     return report
 
 
@@ -421,7 +411,7 @@ def verify_descent_fourier(p=3, seed=0, instances=20) -> VerificationReport:
 def verify_weil_suite(p_list=(3, 5, 7)) -> VerificationReport:
     report = VerificationReport("weil-signs")
     for p in p_list:
-        lf = LocalField(p, default_tau(p))
+        lf = LocalField(p)
         reps = lf.square_class_reps()
         gi = lambda a: weil_index(lf, a)
         report.add(gi(Fraction(1)) == Cyc.one(p), f"p={p} unit index")
@@ -435,7 +425,7 @@ def verify_weil_suite(p_list=(3, 5, 7)) -> VerificationReport:
         # two-variable index by exactly -1
         for tau in (Fraction(smallest_nonresidue(p)), Fraction(p)):
             lft = LocalField(p, tau)
-            a = next(c for c in lft.square_class_reps() if lft.chi(c) == -1)
+            a = nonnorm_scalar(lft)
             lhs = weil_index_form(lft, [a, -tau * a])
             rhs = weil_index_form(lft, [1, -tau]) * Fraction(-1)
             report.add(lhs == rhs, f"p={p} tau={tau} scaling defect")
@@ -473,7 +463,7 @@ def _solvable(lf: LocalField, a: Fraction, b: Fraction) -> bool:
 def verify_hilbert_oracle(p_list=(3, 5, 7)) -> VerificationReport:
     report = VerificationReport("hilbert-oracle")
     for p in p_list:
-        lf = LocalField(p, default_tau(p))
+        lf = LocalField(p)
         for a in lf.square_class_reps():
             for b in lf.square_class_reps():
                 sym = lf.hilbert(a, b)
@@ -510,70 +500,63 @@ def _companion_triple(alg: EtaleAlgebra, rng) -> GLTriple:
 
 
 @_timed_suite
-def verify_cohomology(p=3, seed=0, tau=None) -> VerificationReport:
+def verify_cohomology(p_list=(3,), seed=0, tau=None) -> VerificationReport:
     report = VerificationReport("cohomology-torsor")
-    u = smallest_nonresidue(p)
-    taus = [Fraction(tau)] if tau is not None else \
-        [Fraction(u), Fraction(p)]
-    for t in taus:
-        lf = LocalField(p, t)
-        t0 = squarefree_kernel(t)
-        others = [d for d in (u, p, u * p)
-                  if squarefree_kernel(Fraction(d)) != t0]
-        L = lambda r: LineFactor(lf, Fraction(r))
-        Q = lambda d: QuadFactor(lf, d)
-        mixes = [[L(0)], [Q(t0)], [Q(others[0])], [L(0), L(1)],
-                 [L(0), Q(t0)], [Q(t0), Q(others[0])],
-                 [L(0), L(1), L(-1)], [L(0), L(1), Q(t0)],
-                 [L(0), Q(t0), Q(others[0])]]
-        rng = random.Random(f"{seed}/{p}/{t}")
-        for mi, mix in enumerate(mixes):
-            alg = EtaleAlgebra(lf, mix)
+    for p in p_list:
+        u = smallest_nonresidue(p)
+        taus = [Fraction(tau)] if tau is not None else \
+            [Fraction(u), Fraction(p)]
+        for t in taus:
+            lf = LocalField(p, t)
+            t0 = squarefree_kernel(t)
+            others = [d for d in (u, p, u * p)
+                      if squarefree_kernel(Fraction(d)) != t0]
+            L = lambda r: LineFactor(lf, Fraction(r))
+            Q = lambda d: QuadFactor(lf, d)
+            mixes = [[L(0)], [Q(t0)], [Q(others[0])], [L(0), L(1)],
+                     [L(0), Q(t0)], [Q(t0), Q(others[0])],
+                     [L(0), L(1), L(-1)], [L(0), L(1), Q(t0)],
+                     [L(0), Q(t0), Q(others[0])]]
+            rng = random.Random(f"{seed}/{p}/{t}")
+            for mi, mix in enumerate(mixes):
+                alg = EtaleAlgebra(lf, mix)
+                d = _companion_triple(alg, rng)
+                fam = delta_family(lf, d, alg)
+                classes = list(all_classes(alg))
+                ok = all(inv(alg, fam[x], fam[y]) == x + y
+                         for x in classes for y in classes)
+                S1 = alg.S1()
+                subsets = [lam for r in range(len(S1) + 1)
+                           for lam in itertools.combinations(S1, r)]
+                for lam in subsets:
+                    ok = ok and all(
+                        subset_pairing(alg, lam, x + y) ==
+                        subset_pairing(alg, lam, x) *
+                        subset_pairing(alg, lam, y)
+                        for x in classes for y in classes)
+                # perfectness: distinct subsets induce distinct characters
+                chars = {lam: tuple(subset_pairing(alg, lam, x)
+                                    for x in classes) for lam in subsets}
+                ok = ok and len(set(chars.values())) == len(chars)
+                report.add(ok, f"tau={t} mix={mi}")
+            # block sign pullback on a two-block split
+            A1 = [L(0), Q(others[0])]
+            A2 = [L(1)]
+            alg = EtaleAlgebra(lf, A1 + A2)
             d = _companion_triple(alg, rng)
             fam = delta_family(lf, d, alg)
-            classes = list(all_classes(alg))
-            ok = all(inv(alg, fam[x], fam[y]) == x + y
-                     for x in classes for y in classes)
             S1 = alg.S1()
-            subsets = [lam for r in range(len(S1) + 1)
-                       for lam in itertools.combinations(S1, r)]
-            for lam in subsets:
-                ok = ok and all(
-                    subset_pairing(alg, lam, x + y) ==
-                    subset_pairing(alg, lam, x) *
-                    subset_pairing(alg, lam, y)
-                    for x in classes for y in classes)
-            # perfectness: distinct subsets induce distinct characters
-            chars = {lam: tuple(subset_pairing(alg, lam, x)
-                                for x in classes) for lam in subsets}
-            ok = ok and len(set(chars.values())) == len(chars)
-            report.add(ok, f"tau={t} mix={mi}")
-        # block sign pullback on a two-block split
-        A1 = [L(0), Q(others[0])]
-        A2 = [L(1)]
-        alg = EtaleAlgebra(lf, A1 + A2)
-        d = _companion_triple(alg, rng)
-        fam = delta_family(lf, d, alg)
-        S1 = alg.S1()
-        lam1 = [i for i in S1 if i < len(A1)]
-        block2 = [i for i in S1 if i >= len(A1)]
-        base = fam[H1Class.zero(alg)]
-        ok = all(kappa_sign(alg, block2, inv(alg, base, fam[x])) ==
-                 subset_pairing(alg, lam1, x) for x in all_classes(alg))
-        report.add(ok, f"tau={t} block sign pullback")
+            lam1 = [i for i in S1 if i < len(A1)]
+            block2 = [i for i in S1 if i >= len(A1)]
+            base = fam[H1Class.zero(alg)]
+            ok = all(kappa_sign(alg, block2, inv(alg, base, fam[x])) ==
+                     subset_pairing(alg, lam1, x) for x in all_classes(alg))
+            report.add(ok, f"tau={t} block sign pullback")
     return report
 
 
 # ---------------------------------------------------------------------------
-# rank-one matching-function construction
-
-
-def _nonnorm_scalar(lf: LocalField) -> Fraction:
-    return next(c for c in lf.square_class_reps() if lf.chi(c) == -1)
-
-
-def _gl_side_orbit(lf: LocalField, f: StepFunction, delta, b) -> Cyc:
-    return gl_orbit_integral(lf, f, GLTriple([[delta]], [1], [b]))
+# suite: nilpotent identity at rank one
 
 
 def _deep_value(lf: LocalField, f: StepFunction, delta, sign: int) -> Cyc:
@@ -581,144 +564,24 @@ def _deep_value(lf: LocalField, f: StepFunction, delta, sign: int) -> Cyc:
     return c_empty_closed_form(alg, rank1_slice(f, delta), (sign,))
 
 
-def _slot_bounds(f: StepFunction, i: int):
-    """(min valuation on the support, max box level) of coordinate i."""
-    lo, hi = INF, 0
-    for t in f.terms:
-        v = valuation(t.center[i], f.space.lf.p)
-        lo = min(lo, min(v, t.levels[i]))
-        hi = max(hi, t.levels[i])
-    return lo, hi
-
-
-def _shell_reps(p: int, k: int, r: int, ramified: bool):
-    """Centers of level-(k + e r) boxes covering the elements of exact
-    extension valuation k, in coordinates over the basis (1, sqrt(d0))."""
-    reps = []
-    if not ramified:
-        s = Fraction(p) ** k
-        for a in range(p**r):
-            for b in range(p**r):
-                if a % p == 0 and b % p == 0:
-                    continue
-                reps.append((s * a, s * b))
-    else:
-        sa = Fraction(p) ** (-((-k) // 2))
-        sb = Fraction(p) ** (k // 2)
-        for a in range(p**r):
-            for b in range(p**r):
-                if (k % 2 == 0 and a % p == 0) or \
-                        (k % 2 == 1 and b % p == 0):
-                    continue
-                reps.append((sa * a, sb * b))
-    return reps
-
-
-def construct_jr_transfer_n1(lf: LocalField, f: StepFunction,
-                             certify_samples: int = 4, rng=None):
-    """The explicit rank-one matching pair: one function per Hermitian
-    class on the scalar-by-vector space, assembled box by box from the
-    weighted orbit integrals of f at the matched invariants, with the
-    deep ball around the vector origin filled by the constant term of
-    the germ expansion.  Optionally certified by refined-point sampling."""
-    p = lf.p
-    d0 = Fraction(squarefree_kernel(lf.tau))
-    ram = valuation(d0, p) % 2 == 1
-    e = 2 if ram else 1
-    target = Space(lf, [LineBlock(lf), QuadBlock(lf, d0, ram)])
-    hs = [Fraction(1), _nonnorm_scalar(lf)]
-
-    # scalar-coordinate boxes: the common level refinement of the
-    # term supports
-    Lx = max([t.levels[0] for t in f.terms] + [0])
-    centers = set()
-    for t in f.terms:
-        c, l = t.center[0], t.levels[0]
-        for j in range(p ** max(0, Lx - l)):
-            centers.add(frac_mod_power(c + Fraction(p) ** l * j, p, Lx))
-    centers = sorted(centers)
-
-    # support bounds of the two vector slots
-    a2, _ = _slot_bounds(f, 1)
-    a3, l3 = _slot_bounds(f, 2)
-    b_lo = 0 if (a2 is INF or a3 is INF) else a2 + a3
-    r = max(1, l3 - (0 if a3 is INF else min(a3, 0)) + 1)
-
-    out = []
-    for h in hs:
-        vh = valuation(h, p)
-        terms = []
-        for dc in centers:
-            fd0 = rank1_slice(f, dc)
-            alg = EtaleAlgebra(lf, [LineFactor(lf, dc)])
-            deep = c_empty_closed_form(alg, fd0, (lf.chi(h),))
-            radius = support_radius(alg, fd0)
-            k_lo = (e * (b_lo - vh)) // 2
-            k_min_hi = -(-(e * (radius - vh)) // 2) + 1
-            k = k_lo
-            consecutive_deep = 0
-            while consecutive_deep < e or k < k_min_hi:
-                all_deep = True
-                for (wa, wb) in _shell_reps(p, k, r, ram):
-                    b = h * (wa * wa - d0 * wb * wb)
-                    if b == 0:
-                        continue
-                    # the GL-side orbit integral at (dc, b) on the
-                    # slice already taken for this center
-                    val = rank1_slice_zeta(alg, fd0, 1, b, 0).value_at_one()
-                    if val != deep:
-                        all_deep = False
-                    if val:
-                        terms.append(Term(val, (dc, wa, wb),
-                                          (Lx, k + e * r)))
-                consecutive_deep = consecutive_deep + 1 if all_deep else 0
-                k += 1
-                if k > k_min_hi + 4 * e + 8:
-                    raise ArithmeticError("shell values failed to "
-                                          "stabilize at the deep constant")
-            if deep:
-                terms.append(Term(deep, (dc, Fraction(0), Fraction(0)),
-                                  (Lx, k)))
-        out.append(StepFunction(target, terms))
-
-    if certify_samples and rng is not None:
-        for h, fi in zip(hs, out):
-            lo_k = min(0, (e * (b_lo - valuation(h, p))) // 2)
-            for _ in range(certify_samples):
-                dc = rng.choice(centers) + Fraction(p) ** Lx * \
-                    rng.randint(0, p - 1)
-                k = rng.randint(lo_k, 6)
-                reps = _shell_reps(p, k, r + 1, ram)
-                wa, wb = reps[rng.randrange(len(reps))]
-                b = h * (wa * wa - d0 * wb * wb)
-                if b == 0:
-                    continue
-                if fi.eval((dc, wa, wb)) != _gl_side_orbit(lf, f, dc, b):
-                    raise ArithmeticError("matching function failed "
-                                          "local-constancy certification")
-    return out[0], out[1]
-
-
-# ---------------------------------------------------------------------------
-# suite: nilpotent identity at rank one
+# every this-many-th instance also builds the matching pair and re-verifies
+# the orbit matching end to end
+END_TO_END_EVERY = 13
 
 
 @_timed_suite
-def verify_nilpotent_identity(p_list=(3, 5), seed=0, instances=100,
-                              ledger=None, end_to_end_every=13) -> \
-        VerificationReport:
+def verify_nilpotent_identity(instances, p_list=(3, 5), seed=0,
+                              ledger=None) -> VerificationReport:
     report = VerificationReport("nilpotent-identity-n1")
     ledger = ledger if ledger is not None else NormalizationLedger()
-    configs = []
-    for p in p_list:
-        configs.append((p, default_tau(p)))
-        configs.append((p, Fraction(p)))
+    configs = [(p, tau) for p in p_list
+               for tau in (Fraction(smallest_nonresidue(p)), Fraction(p))]
     per = max(1, instances // len(configs))
     for p, tau in configs:
         lf = LocalField(p, tau)
         u = smallest_nonresidue(p)
         rng = random.Random(f"{seed}/{p}/{tau}/nilpotent")
-        h1 = _nonnorm_scalar(lf)
+        h1 = nonnorm_scalar(lf)
         sp3 = Space.lines(lf, 3)
         for i in range(per):
             f = random_step_function(sp3, rng, nterms=3, maxlev=1,
@@ -756,7 +619,7 @@ def verify_nilpotent_identity(p_list=(3, 5), seed=0, instances=100,
                                        rhs * lhs.inverse()):
                     ok = False
                     detail += " calibration drift"
-            if i % end_to_end_every == 0:
+            if i % END_TO_END_EVERY == 0:
                 ok2, d2 = _end_to_end_check(lf, f, gamma, c_plus, c_minus,
                                             h1, rng)
                 ok = ok and ok2
@@ -772,15 +635,13 @@ def _end_to_end_check(lf, f, gamma, c_plus, c_minus, h1, rng):
         return False, " constructed split deep value mismatch"
     if f1.eval((gamma, Fraction(0), Fraction(0))) != c_minus:
         return False, " constructed non-split deep value mismatch"
-    d0 = Fraction(squarefree_kernel(lf.tau))
-    wa = Fraction(1)
     wb = Fraction(0) if lf.unramified else Fraction(1)
+    w = Q2(Fraction(squarefree_kernel(lf.tau)), Fraction(1), wb)
     for h, fi in ((Fraction(1), f0), (h1, f1)):
-        w = Q2(d0, wa, wb)
         b = h * w.norm()
         if b == 0:
             continue
-        want = _gl_side_orbit(lf, f, gamma, b)
+        want = gl_orbit_integral(lf, f, GLTriple([[gamma]], [1], [b]))
         got = unitary_orbit_integral(lf, fi, gamma, w)
         if got != want:
             return False, " orbit matching re-verification failed"
@@ -791,28 +652,31 @@ def _end_to_end_check(lf, f, gamma, c_plus, c_minus, h1, rng):
 # suite: unit-function matching at rank one
 
 
+# gamma and b run over the valuations -FL_VAL_RANGE .. FL_VAL_RANGE
+FL_VAL_RANGE = 3
+
+
 @_timed_suite
-def verify_fl_n1(p_list=(3, 5), val_range=3) -> VerificationReport:
+def verify_fl_n1(p_list=(3, 5)) -> VerificationReport:
     report = VerificationReport("unit-matching-n1")
     for p in p_list:
         u = smallest_nonresidue(p)
         lf = LocalField(p, Fraction(u))  # unramified extension
         d0 = Fraction(squarefree_kernel(lf.tau))
-        sp3 = Space.lines(lf, 3)
-        unit_f = StepFunction(sp3, [Term(Cyc.one(p), (Fraction(0),) * 3,
-                                         (0, 0, 0))])
+        unit_f = StepFunction.indicator(Space.lines(lf, 3), [0] * 3, [0] * 3)
         spu = Space(lf, [LineBlock(lf), QuadBlock(lf, d0, False)])
-        unit_w = StepFunction(spu, [Term(Cyc.one(p), (Fraction(0),) * 3,
-                                         (0, 0))])
+        unit_w = StepFunction.indicator(spu, [0] * 3, [0] * 2)
         gammas = [Fraction(0)] + \
             [Fraction(c) * Fraction(p) ** j
-             for j in range(-val_range, val_range + 1) for c in (1, u)]
+             for j in range(-FL_VAL_RANGE, FL_VAL_RANGE + 1)
+             for c in (1, u)]
         bs = [Fraction(c) * Fraction(p) ** j
-              for j in range(-val_range, val_range + 1)
+              for j in range(-FL_VAL_RANGE, FL_VAL_RANGE + 1)
               for c in (1, -1, u, -u)]
         for gamma in gammas:
             for b in bs:
-                lhs = _gl_side_orbit(lf, unit_f, gamma, b)
+                lhs = gl_orbit_integral(lf, unit_f,
+                                        GLTriple([[gamma]], [1], [b]))
                 if lf.chi(b) == 1:
                     w = Q2(d0, Fraction(p) ** (valuation(b, p) // 2),
                            Fraction(0))
@@ -828,42 +692,43 @@ def verify_fl_n1(p_list=(3, 5), val_range=3) -> VerificationReport:
 
 
 @_timed_suite
-def verify_transfer_factor_algebra(seed=0, instances=30, p=3) -> \
+def verify_transfer_factor_algebra(instances, p_list=(3,), seed=0) -> \
         VerificationReport:
     """The weighted-wedge sign of a block-diagonal triple factors as the
     product of the block signs times chi of the eigenvalue-difference
     resultant."""
     report = VerificationReport("transfer-factor-algebra")
-    lf = LocalField(p, default_tau(p))
-    rng = random.Random(f"{seed}/{p}/omega")
-    done = attempts = 0
-    while done < instances and attempts < 40 * instances:
-        attempts += 1
-        n1, n2 = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
-        g1 = [[_rand_frac(rng) for _ in range(n1)] for _ in range(n1)]
-        g2 = [[Fraction(rng.randint(3, 6)) if i == j else
-               Fraction(rng.randint(-1, 1)) for j in range(n2)]
-              for i in range(n2)]
-        v1 = [_rand_frac(rng) for _ in range(n1)]
-        v2 = [_rand_frac(rng) for _ in range(n2)]
-        n = n1 + n2
-        g = [[(g1[i][j] if i < n1 and j < n1 else
-               g2[i - n1][j - n1] if i >= n1 and j >= n1 else Fraction(0))
-              for j in range(n)] for i in range(n)]
-        vs = [Fraction(1)] * n
-        d = GLTriple(g, v1 + v2, vs)
-        d1 = GLTriple(g1, v1, vs[:n1])
-        d2 = GLTriple(g2, v2, vs[n1:])
-        try:
-            w, w1, w2 = d.omega(lf), d1.omega(lf), d2.omega(lf)
-        except ValueError:
-            continue
-        D = d_resultant(list(d1.char_poly()), list(d2.char_poly()))
-        ok = w == lf.chi(D) * w1 * w2
-        Dsw = d_resultant(list(d2.char_poly()), list(d1.char_poly()))
-        ok = ok and Dsw == Fraction(-1) ** (n1 * n2) * D
-        report.add(ok, f"blocks ({n1},{n2})")
-        done += 1
+    for p in p_list:
+        lf = LocalField(p)
+        rng = random.Random(f"{seed}/{p}/omega")
+        done = attempts = 0
+        while done < instances and attempts < 40 * instances:
+            attempts += 1
+            n1, n2 = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+            g1 = [[_rand_frac(rng) for _ in range(n1)] for _ in range(n1)]
+            g2 = [[Fraction(rng.randint(3, 6)) if i == j else
+                   Fraction(rng.randint(-1, 1)) for j in range(n2)]
+                  for i in range(n2)]
+            v1 = [_rand_frac(rng) for _ in range(n1)]
+            v2 = [_rand_frac(rng) for _ in range(n2)]
+            n = n1 + n2
+            g = [[(g1[i][j] if i < n1 and j < n1 else
+                   g2[i - n1][j - n1] if i >= n1 and j >= n1 else Fraction(0))
+                  for j in range(n)] for i in range(n)]
+            vs = [Fraction(1)] * n
+            d = GLTriple(g, v1 + v2, vs)
+            d1 = GLTriple(g1, v1, vs[:n1])
+            d2 = GLTriple(g2, v2, vs[n1:])
+            try:
+                w, w1, w2 = d.omega(lf), d1.omega(lf), d2.omega(lf)
+            except ValueError:
+                continue
+            D = d_resultant(list(d1.char_poly()), list(d2.char_poly()))
+            ok = w == lf.chi(D) * w1 * w2
+            Dsw = d_resultant(list(d2.char_poly()), list(d1.char_poly()))
+            ok = ok and Dsw == Fraction(-1) ** (n1 * n2) * D
+            report.add(ok, f"blocks ({n1},{n2})")
+            done += 1
     return report
 
 
@@ -872,21 +737,15 @@ def verify_transfer_factor_algebra(seed=0, instances=30, p=3) -> \
 
 
 @_timed_suite
-def verify_rank2_stretch(candidate_pairs=None) -> VerificationReport:
-    """Rank-two identity with anisotropic unitary side on user-supplied
-    candidate matched pairs.  With no candidates, this reports honestly
-    that the anisotropic shell summation is not implemented."""
+def verify_rank2_stretch() -> VerificationReport:
+    """Rank-two identity with anisotropic unitary side.  This reports
+    honestly that the anisotropic shell summation is not implemented."""
     report = VerificationReport("rank2-anisotropic-stretch")
     report.blocking = False
-    if not candidate_pairs:
-        report.add(False, "no candidate pairs supplied; anisotropic "
-                   "shell-summation certificates are not implemented at "
-                   "rank 2 (the engine covers the decoupled split "
-                   "pattern only)")
-    else:
-        for pair in candidate_pairs:
-            report.add(False, f"candidate {pair!r}: anisotropic shell "
-                       "summation not implemented")
+    report.add(False, "no candidate pairs supplied; anisotropic "
+               "shell-summation certificates are not implemented at "
+               "rank 2 (the engine covers the decoupled split "
+               "pattern only)")
     return report
 
 
@@ -894,38 +753,44 @@ def verify_rank2_stretch(candidate_pairs=None) -> VerificationReport:
 # suite registry
 
 
+# report name -> (suite, default instance count, or None for a suite of
+# fixed size).  This is the one list of suites: run_all and the command
+# line both iterate it.
 SUITES = {
-    "torus-germ": verify_torus_germ,
-    "m1-closed-forms": verify_m1_closed_forms,
-    "fourier-involution": verify_fourier_involution,
-    "parabolic-descent": verify_descent,
-    "descent-fourier": verify_descent_fourier,
-    "weil-signs": verify_weil_suite,
-    "hilbert-oracle": verify_hilbert_oracle,
-    "cohomology-torsor": verify_cohomology,
-    "nilpotent-identity-n1": verify_nilpotent_identity,
-    "unit-matching-n1": verify_fl_n1,
-    "transfer-factor-algebra": verify_transfer_factor_algebra,
-    "rank2-anisotropic-stretch": verify_rank2_stretch,
+    "torus-germ": (verify_torus_germ, 50),
+    "m1-closed-forms": (verify_m1_closed_forms, None),
+    "fourier-involution": (verify_fourier_involution, 100),
+    "parabolic-descent": (verify_descent, 20),
+    "descent-fourier": (verify_descent_fourier, 20),
+    "weil-signs": (verify_weil_suite, None),
+    "hilbert-oracle": (verify_hilbert_oracle, None),
+    "cohomology-torsor": (verify_cohomology, None),
+    "nilpotent-identity-n1": (verify_nilpotent_identity, 100),
+    "unit-matching-n1": (verify_fl_n1, None),
+    "transfer-factor-algebra": (verify_transfer_factor_algebra, 30),
+    "rank2-anisotropic-stretch": (verify_rank2_stretch, None),
 }
 
 
-def run_all(seed=0, quick=False, ledger=None):
-    """Run every verification suite and return the list of reports."""
-    scale = (lambda n: max(2, n // 10)) if quick else (lambda n: n)
-    ledger = ledger if ledger is not None else NormalizationLedger()
-    return [
-        verify_torus_germ(seed=seed, instances=scale(50)),
-        verify_m1_closed_forms(),
-        verify_fourier_involution(seed=seed, instances=scale(100)),
-        verify_descent(seed=seed, instances=scale(20)),
-        verify_descent_fourier(seed=seed, instances=scale(20)),
-        verify_weil_suite(),
-        verify_hilbert_oracle(),
-        verify_cohomology(seed=seed),
-        verify_nilpotent_identity(seed=seed, instances=scale(100),
-                                  ledger=ledger),
-        verify_fl_n1(),
-        verify_transfer_factor_algebra(seed=seed, instances=scale(30)),
-        verify_rank2_stretch(),
-    ]
+def suite_parameters(name: str) -> tuple:
+    """The parameters the named suite declares, from its signature."""
+    return tuple(inspect.signature(SUITES[name][0]).parameters)
+
+
+def run_suite(name: str, quick=False, **options) -> VerificationReport:
+    """Run one registered suite.  Of the options (p_list, tau, seed,
+    instances, ledger) it receives those it declares that are not None.
+    instances defaults to the registered count, or to a tenth of it (at
+    least 2) when quick."""
+    suite, count = SUITES[name]
+    params = suite_parameters(name)
+    kwargs = {k: v for k, v in options.items()
+              if k in params and v is not None}
+    if count is not None and "instances" not in kwargs:
+        kwargs["instances"] = max(2, count // 10) if quick else count
+    return suite(**kwargs)
+
+
+def run_all(quick=False, **options):
+    """Run every registered suite, in registry order."""
+    return [run_suite(name, quick, **options) for name in SUITES]

@@ -1,8 +1,9 @@
 """Orbit-integral engines: torus orbit integrals with germ-expansion
 extraction, rank <= 2 general-linear and unitary orbit integrals,
-nilpotent orbit integrals by analytic continuation, parabolic descent,
-and Weil indices.  Everything is exact; s = 0 evaluations go through
-ZetaElement, never through numeric limits.
+nilpotent orbit integrals by analytic continuation, the rank-one
+matching-function construction, parabolic descent, and Weil indices.
+Everything is exact; s = 0 evaluations go through ZetaElement, never
+through numeric limits.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ import itertools
 from fractions import Fraction
 
 from .cyclo import Cyc, sqrt_p
-from .etale import EtaleAlgebra, AlgElement, LineFactor, QuadFactor
+from .etale import EtaleAlgebra, AlgElement, LineFactor, squarefree_kernel
 from .quadext import Q2
 from .scalar import INF, LocalField, ratsqrt, smallest_nonresidue, valuation
-from .steps import LineBlock, QuadBlock, Space, StepFunction
+from .spaces import GLTriple
+from .steps import (LineBlock, QuadBlock, Space, StepFunction, Term,
+                    frac_mod_power)
 from .zeta import FactorMode, ZetaElement, mult_zeta
 
 
@@ -337,23 +340,148 @@ def nilpotent_orbit_integral_gl(lf: LocalField, f: StepFunction, d) -> Cyc:
             for i in range(5)]
     h = h.affine_pullback(diag)
     h = h.partial_integrate([0])  # the unipotent coordinate
+    return _rank2_torus_value(lf, h, l1, l2)
+
+
+def _rank2_torus_value(lf: LocalField, h: StepFunction, l1, l2) -> Cyc:
+    """The s = 0 value of the two-factor torus zeta integral of h on
+    (v1, v2, w1, w2) over F[diag(l1, l2)], with v1 weighted by |t|^s and
+    w2 by |t|^{-s}; the other two coordinates are pinned to 0."""
+    # EtaleAlgebra keeps its factors in the given order, so (v1, v2, w1, w2)
+    # already is the algebra's (slot1, slot1, slot2, slot2)
     alg = EtaleAlgebra(lf, [LineFactor(lf, l1), LineFactor(lf, l2)])
-    pos = [None, None]
-    for i, fac in enumerate(alg.factors):
-        pos[0 if fac.root == l1 else 1] = i
-    # reorder (v1, v2, w1, w2) into the algebra's (slot1, slot1, slot2, slot2)
-    perm = [None] * 4
-    perm[pos[0]] = 0
-    perm[pos[1]] = 1
-    perm[2 + pos[0]] = 2
-    perm[2 + pos[1]] = 3
-    P = [[Fraction(1) if perm[i] == j else Fraction(0) for j in range(4)]
-         for i in range(4)]
-    h = h.affine_pullback(P)
-    modes = [None, None]
-    modes[pos[0]] = FactorMode(slot2=False, sigma=1, char=True)
-    modes[pos[1]] = FactorMode(slot1=False, sigma=-1, char=True)
+    modes = [FactorMode(slot2=False, sigma=1, char=True),
+             FactorMode(slot1=False, sigma=-1, char=True)]
     return mult_zeta(alg, h, modes).value_at_one()
+
+
+# ---------------------------------------------------------------------------
+# rank-one matching-function construction
+
+
+def nonnorm_scalar(lf: LocalField) -> Fraction:
+    """The first square-class representative outside the norm group."""
+    return next(c for c in lf.square_class_reps() if lf.chi(c) == -1)
+
+
+def _slot_bounds(f: StepFunction, i: int):
+    """(min valuation on the support, max box level) of coordinate i."""
+    lo, hi = INF, 0
+    for t in f.terms:
+        v = valuation(t.center[i], f.space.lf.p)
+        lo = min(lo, min(v, t.levels[i]))
+        hi = max(hi, t.levels[i])
+    return lo, hi
+
+
+def _shell_reps(p: int, k: int, r: int, ramified: bool):
+    """Centers of level-(k + e r) boxes covering the elements of exact
+    extension valuation k, in coordinates over the basis (1, sqrt(d0))."""
+    reps = []
+    if not ramified:
+        s = Fraction(p) ** k
+        for a in range(p**r):
+            for b in range(p**r):
+                if a % p == 0 and b % p == 0:
+                    continue
+                reps.append((s * a, s * b))
+    else:
+        sa = Fraction(p) ** (-((-k) // 2))
+        sb = Fraction(p) ** (k // 2)
+        for a in range(p**r):
+            for b in range(p**r):
+                if (k % 2 == 0 and a % p == 0) or \
+                        (k % 2 == 1 and b % p == 0):
+                    continue
+                reps.append((sa * a, sb * b))
+    return reps
+
+
+def construct_jr_transfer_n1(lf: LocalField, f: StepFunction,
+                             certify_samples: int = 4, rng=None):
+    """The explicit rank-one matching pair: one function per Hermitian
+    class on the scalar-by-vector space, assembled box by box from the
+    weighted orbit integrals of f at the matched invariants, with the
+    deep ball around the vector origin filled by the constant term of
+    the germ expansion.  Optionally certified by refined-point sampling."""
+    p = lf.p
+    d0 = Fraction(squarefree_kernel(lf.tau))
+    ram = valuation(d0, p) % 2 == 1
+    e = 2 if ram else 1
+    target = Space(lf, [LineBlock(lf), QuadBlock(lf, d0, ram)])
+    hs = [Fraction(1), nonnorm_scalar(lf)]
+
+    # scalar-coordinate boxes: the common level refinement of the
+    # term supports
+    Lx = max([t.levels[0] for t in f.terms] + [0])
+    centers = set()
+    for t in f.terms:
+        c, l = t.center[0], t.levels[0]
+        for j in range(p ** max(0, Lx - l)):
+            centers.add(frac_mod_power(c + Fraction(p) ** l * j, p, Lx))
+    centers = sorted(centers)
+
+    # support bounds of the two vector slots
+    a2, _ = _slot_bounds(f, 1)
+    a3, l3 = _slot_bounds(f, 2)
+    b_lo = 0 if (a2 is INF or a3 is INF) else a2 + a3
+    r = max(1, l3 - (0 if a3 is INF else min(a3, 0)) + 1)
+
+    out = []
+    for h in hs:
+        vh = valuation(h, p)
+        terms = []
+        for dc in centers:
+            fd0 = rank1_slice(f, dc)
+            alg = EtaleAlgebra(lf, [LineFactor(lf, dc)])
+            deep = c_empty_closed_form(alg, fd0, (lf.chi(h),))
+            radius = support_radius(alg, fd0)
+            k_lo = (e * (b_lo - vh)) // 2
+            k_min_hi = -(-(e * (radius - vh)) // 2) + 1
+            k = k_lo
+            consecutive_deep = 0
+            while consecutive_deep < e or k < k_min_hi:
+                all_deep = True
+                for (wa, wb) in _shell_reps(p, k, r, ram):
+                    b = h * (wa * wa - d0 * wb * wb)
+                    if b == 0:
+                        continue
+                    # the GL-side orbit integral at (dc, b) on the
+                    # slice already taken for this center
+                    val = rank1_slice_zeta(alg, fd0, 1, b, 0).value_at_one()
+                    if val != deep:
+                        all_deep = False
+                    if val:
+                        terms.append(Term(val, (dc, wa, wb),
+                                          (Lx, k + e * r)))
+                consecutive_deep = consecutive_deep + 1 if all_deep else 0
+                k += 1
+                if k > k_min_hi + 4 * e + 8:
+                    raise ArithmeticError("shell values failed to "
+                                          "stabilize at the deep constant")
+            if deep:
+                terms.append(Term(deep, (dc, Fraction(0), Fraction(0)),
+                                  (Lx, k)))
+        out.append(StepFunction(target, terms))
+
+    if certify_samples and rng is not None:
+        for h, fi in zip(hs, out):
+            lo_k = min(0, (e * (b_lo - valuation(h, p))) // 2)
+            for _ in range(certify_samples):
+                dc = rng.choice(centers) + Fraction(p) ** Lx * \
+                    rng.randint(0, p - 1)
+                k = rng.randint(lo_k, 6)
+                reps = _shell_reps(p, k, r + 1, ram)
+                wa, wb = reps[rng.randrange(len(reps))]
+                b = h * (wa * wa - d0 * wb * wb)
+                if b == 0:
+                    continue
+                d = GLTriple([[dc]], [1], [b])
+                if fi.eval((dc, wa, wb)) != gl_orbit_integral(lf, f, d):
+                    raise ArithmeticError("matching function failed "
+                                          "local-constancy certification")
+    return out[0], out[1]
+
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +589,7 @@ def unitary_orbit_integral(lf: LocalField, f: StepFunction, delta, w,
                            max_level: int = 16) -> Cyc:
     """int over U(1) of f(delta, g w) dg for f on F x E, with total mass 1;
     computed by congruence-coset averaging at a stabilized level."""
-    from .etale import u1_cosets, squarefree_kernel
+    from .etale import u1_cosets
     d0 = Fraction(squarefree_kernel(lf.tau))
     s = ratsqrt(lf.tau / d0)
     if not isinstance(w, Q2):

@@ -101,8 +101,3 @@ def _ring_inverse(x):
     if isinstance(x, Q2):
         return x.inverse()
     return Fraction(1) / Fraction(x)
-
-
-def q2(d, a=0, b=0) -> Q2:
-    """Q2 over Fraction base."""
-    return Q2(Fraction(d), Fraction(a), Fraction(b))

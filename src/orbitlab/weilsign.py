@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import Cyc
-from .integrals import weil_index_form
+from .integrals import nonnorm_scalar, weil_index_form
 from .linalg import mat_mul, nullspace
 from .quadext import Q2
 from .scalar import LocalField
@@ -127,7 +127,7 @@ def unitary_trace_index(lf: LocalField, space: HermitianSpace) -> Cyc:
 
 def class_representatives(lf: LocalField, n: int):
     """Hermitian spaces of dimension n in the two classes."""
-    s = next(c for c in lf.square_class_reps() if lf.chi(c) == -1)
+    s = nonnorm_scalar(lf)
     split = HermitianSpace.diagonal(lf, [1] * n)
     other = HermitianSpace.diagonal(lf, [1] * (n - 1) + [s])
     if split.class_bit() == other.class_bit():
@@ -140,9 +140,3 @@ def index_ratio(lf: LocalField, n: int) -> Cyc:
     n-dimensional Hermitian spaces."""
     w0, w1 = class_representatives(lf, n)
     return unitary_trace_index(lf, w0) * unitary_trace_index(lf, w1).inverse()
-
-
-def verify_sign_identity(lf: LocalField, n: int) -> bool:
-    """The index ratio across the two classes equals (-1)^(n-1)."""
-    expect = Cyc.rational(Fraction((-1) ** (n - 1)), lf.p)
-    return index_ratio(lf, n) == expect

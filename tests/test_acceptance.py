@@ -29,25 +29,27 @@ def test_criterion_01_torus_germ_expansion():
 
 def test_criterion_02_single_factor_closed_forms():
     rep = _report("02 (single-factor closed forms)",
-                  harness.verify_m1_closed_forms(p=3))
+                  harness.verify_m1_closed_forms(p_list=(3,)))
     assert rep.passed, rep.failures()[:1]
 
 
 def test_criterion_03_fourier_involution():
     rep = _report("03 (Fourier involution)",
-                  harness.verify_fourier_involution(p=3, instances=100))
+                  harness.verify_fourier_involution(p_list=(3,),
+                                                    instances=100))
     assert rep.passed, rep.failures()[:1]
 
 
 def test_criterion_04_parabolic_descent():
     rep = _report("04 (parabolic descent)",
-                  harness.verify_descent(p=3, instances=20))
+                  harness.verify_descent(p_list=(3,), instances=20))
     assert rep.passed, rep.failures()[:1]
 
 
 def test_criterion_05_descent_fourier_commutation():
     rep = _report("05 (descent-Fourier commutation)",
-                  harness.verify_descent_fourier(p=3, instances=20))
+                  harness.verify_descent_fourier(p_list=(3,),
+                                                 instances=20))
     assert rep.passed, rep.failures()[:1]
 
 
@@ -65,7 +67,7 @@ def test_criterion_07_hilbert_symbol_oracle():
 
 def test_criterion_08_cohomology_torsor():
     rep = _report("08 (norm-class torsor and pairing)",
-                  harness.verify_cohomology(p=3))
+                  harness.verify_cohomology(p_list=(3,)))
     assert rep.passed, rep.failures()[:1]
 
 
@@ -80,7 +82,7 @@ def test_criterion_09_nilpotent_identity_rank_one():
 
 def test_criterion_10_unit_function_matching():
     rep = _report("10 (unit-function matching)",
-                  harness.verify_fl_n1(p_list=(3, 5), val_range=3))
+                  harness.verify_fl_n1(p_list=(3, 5)))
     assert rep.passed, rep.failures()[:1]
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 from orbitlab import harness
 from orbitlab.cyclo import Cyc
 from orbitlab.etale import squarefree_kernel
-from orbitlab.integrals import gl_orbit_integral, unitary_orbit_integral
+from orbitlab.integrals import (construct_jr_transfer_n1, gl_orbit_integral,
+                                nonnorm_scalar, unitary_orbit_integral)
 from orbitlab.scalar import LocalField, ratsqrt
 from orbitlab.spaces import GLTriple
 from orbitlab.steps import Space, StepFunction
@@ -59,7 +60,7 @@ def test_report_runtime_is_the_suites_own(monkeypatch):
 
 def test_transfer_of_zero_is_zero(lf3):
     space = Space.lines(lf3, 3)
-    f0, f1 = harness.construct_jr_transfer_n1(lf3, StepFunction.zero(space))
+    f0, f1 = construct_jr_transfer_n1(lf3, StepFunction.zero(space))
     assert f0.is_zero() and f1.is_zero()
 
 
@@ -68,9 +69,9 @@ def test_transfer_is_linear(lf3):
     space = Space.lines(lf3, 3)
     f = harness.random_step_function(space, rng, nterms=2)
     g = harness.random_step_function(space, rng, nterms=2)
-    ff = harness.construct_jr_transfer_n1(lf3, f, rng=rng)
-    gg = harness.construct_jr_transfer_n1(lf3, g, rng=rng)
-    ss = harness.construct_jr_transfer_n1(lf3, f + g, rng=rng)
+    ff = construct_jr_transfer_n1(lf3, f, rng=rng)
+    gg = construct_jr_transfer_n1(lf3, g, rng=rng)
+    ss = construct_jr_transfer_n1(lf3, f + g, rng=rng)
     assert ss[0] == ff[0] + gg[0]
     assert ss[1] == ff[1] + gg[1]
 
@@ -80,7 +81,7 @@ def test_transfer_matches_orbit_integrals(lf3):
     rng = random.Random(7)
     space = Space.lines(lf3, 3)
     f = harness.random_step_function(space, rng, nterms=2)
-    f0, f1 = harness.construct_jr_transfer_n1(lf3, f, rng=rng)
+    f0, f1 = construct_jr_transfer_n1(lf3, f, rng=rng)
     for delta, b in ((Fraction(0), Fraction(1)),
                      (Fraction(1), Fraction(4)),
                      (Fraction(1, 3), Fraction(9))):
@@ -100,8 +101,8 @@ def test_transfer_terms_are_gl_orbit_integrals():
         rng = random.Random(f"hoisted/{tau}")
         f = harness.random_step_function(Space.lines(lf, 3), rng, nterms=3,
                                          maxlev=1, uniform=False)
-        pair = harness.construct_jr_transfer_n1(lf, f)
-        hs = (Fraction(1), harness._nonnorm_scalar(lf))
+        pair = construct_jr_transfer_n1(lf, f)
+        hs = (Fraction(1), nonnorm_scalar(lf))
         checked = 0
         for h, fi in zip(hs, pair):
             for t in fi.terms:
@@ -117,9 +118,9 @@ def test_transfer_terms_are_gl_orbit_integrals():
 
 def test_quick_suites_pass():
     reports = [
-        harness.verify_m1_closed_forms(p=3),
-        harness.verify_fourier_involution(p=3, instances=10),
-        harness.verify_descent(p=3, instances=2),
+        harness.verify_m1_closed_forms(p_list=(3,)),
+        harness.verify_fourier_involution(p_list=(3,), instances=10),
+        harness.verify_descent(p_list=(3,), instances=2),
         harness.verify_hilbert_oracle(p_list=(3,)),
         harness.verify_transfer_factor_algebra(instances=5),
     ]
@@ -140,3 +141,15 @@ def test_stretch_suite_reports_honestly():
     assert not rep.passed
     assert not rep.blocking
     assert "not implemented" in rep.failures()[0]["detail"]
+
+
+def test_registry_counts_match_signatures():
+    # a suite has a default instance count exactly when it takes instances
+    for name, (suite, count) in harness.SUITES.items():
+        takes = "instances" in harness.suite_parameters(name)
+        assert takes == (count is not None), name
+
+
+def test_run_all_follows_the_registry():
+    reports = harness.run_all(p_list=(3,), instances=2)
+    assert [rep.name for rep in reports] == list(harness.SUITES)

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+from orbitlab.cyclo import Cyc
 from orbitlab.scalar import LocalField
 from orbitlab.spaces import HermitianSpace
-from orbitlab.weilsign import (class_representatives, selfadjoint_basis,
-                               trace_form_diagonal, trace_pairing,
-                               verify_sign_identity)
+from orbitlab.weilsign import (class_representatives, index_ratio,
+                               selfadjoint_basis, trace_form_diagonal,
+                               trace_pairing)
 
 
 def test_selfadjoint_space_has_dimension_n_squared():
@@ -43,4 +44,5 @@ def test_sign_identity_small_ranks():
         for tau in (None, Fraction(p)):
             lf = LocalField(p, tau)
             for n in (1, 2):
-                assert verify_sign_identity(lf, n)
+                assert index_ratio(lf, n) == \
+                    Cyc.rational(Fraction((-1) ** (n - 1)), lf.p)
