@@ -430,7 +430,7 @@ def verify_weil_suite(p_list=(3, 5, 7)) -> VerificationReport:
             rhs = weil_index_form(lft, [1, -tau]) * Fraction(-1)
             report.add(lhs == rhs, f"p={p} tau={tau} scaling defect")
     # the induced sign between the trace-form indices of the two classes
-    for p in (3, 5):
+    for p in (p for p in p_list if p in (3, 5)):
         for tau in (Fraction(smallest_nonresidue(p)), Fraction(p)):
             lf = LocalField(p, tau)
             for n in (1, 2, 3):

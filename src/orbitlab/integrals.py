@@ -549,8 +549,8 @@ def chi_average_compact(lf: LocalField, f: StepFunction,
         w = Cyc.rational(Fraction(lf.chi(det)), p)
         terms.extend(f.affine_pullback(_action_matrix_gl2(k)).scale(w).terms)
         count += 1
-    total = StepFunction(f.space, terms)
-    fK = total.scale(Cyc.rational(Fraction(1, count), p))
+    fK = StepFunction(f.space, terms).merged().scale(
+        Cyc.rational(Fraction(1, count), p))
     if certify:
         pts = [tuple(Fraction((7 * i + 3 * j + i * j) % 5 - 2)
                      for j in range(8)) for i in range(8)]

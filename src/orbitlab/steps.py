@@ -18,6 +18,7 @@ to parity flip without volume constants.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .cyclo import Cyc
 from .linalg import mat_inverse, smith_zp
@@ -472,53 +473,54 @@ class StepFunction:
 
     # -- canonical form and equality ---------------------------------------
 
-    def canonicalize(self) -> "StepFunction":
-        """Refine to a common box level per block and merge matching terms."""
-        if not self.terms:
-            return self
+    def merged(self) -> "StepFunction":
+        """Sum the terms that are one character on one box, and drop the
+        sums that vanish.
+
+        Terms are grouped by (levels, center modulo the box, phase modulo
+        the box's dual lattice).  With lam* the canonical phase and c* the
+        canonical center, psi(lam . x) = psi((lam - lam*) . c*) psi(lam* . x)
+        on the box, so each group is one term and the result is exact.
+        """
         lf = self.space.lf
         p = lf.p
-        nb = len(self.space.blocks)
-        levels = tuple(max(t.levels[i] for t in self.terms) for i in range(nb))
-        shapes = self.space.coord_shapes(levels)
         acc: dict[tuple, Cyc] = {}
         for t in self.terms:
+            shapes = self.space.coord_shapes(t.levels)
+            center = tuple(frac_mod_power(c, p, s)
+                           for c, s in zip(t.center, shapes))
+            lam = tuple(frac_mod_power(v, p, -s)
+                        for v, s in zip(t.phase, shapes))
+            ph = sum(((v - l) * c for v, l, c in zip(t.phase, lam, center)),
+                     Fraction(0))
+            key = (t.levels, center, lam)
+            acc[key] = acc.get(key, Cyc.zero(p)) + t.coeff * lf.psi(ph)
+        return StepFunction(self.space, [
+            Term(coeff, center, levels, lam)
+            for (levels, center, lam), coeff in acc.items()
+            if not coeff.is_zero()])
+
+    def canonicalize(self) -> "StepFunction":
+        """Merge matching terms, refine the survivors to a common box level
+        per block, and merge again: the unique form of the function at that
+        level."""
+        f = self.merged()
+        if not f.terms:
+            return f
+        p = self.space.lf.p
+        nb = len(self.space.blocks)
+        levels = tuple(max(t.levels[i] for t in f.terms) for i in range(nb))
+        shapes = self.space.coord_shapes(levels)
+        refined = []
+        for t in f.terms:
             tshapes = self.space.coord_shapes(t.levels)
-            ranges = [p ** (S - s) for s, S in zip(tshapes, shapes)]
-            # canonical phase modulo the dual of the refined box
-            lam = tuple(frac_mod_power(v, p, -S) for v, S in zip(t.phase, shapes))
-            dlam = tuple(a - b for a, b in zip(t.phase, lam))
-            idx = [0] * len(ranges)
-            while True:
-                center = tuple(
-                    frac_mod_power(c + Fraction(p) ** s * k, p, S)
-                    for c, s, S, k in zip(t.center, tshapes, shapes, idx))
-                ph = sum((dv * c for dv, c in zip(dlam, center)), Fraction(0))
-                ph += sum((lv * c for lv, c in zip(lam, center)), Fraction(0))
-                # normalize so the stored phase constant is zero at the center:
-                # represent the term as coeff' * psi(lam . (x - c)) * 1_box
-                key = (center, lam)
-                add = t.coeff * lf.psi(ph)
-                acc[key] = acc.get(key, Cyc.zero(p)) + add
-                j = 0
-                while j < len(idx):
-                    idx[j] += 1
-                    if idx[j] < ranges[j]:
-                        break
-                    idx[j] = 0
-                    j += 1
-                else:
-                    break
-                if j == len(idx):
-                    break
-        out = []
-        for (center, lam), coeff in acc.items():
-            if coeff.is_zero():
-                continue
-            # stored form uses psi(lam . x); undo the centering factor
-            ph = sum((lv * c for lv, c in zip(lam, center)), Fraction(0))
-            out.append(Term(coeff * lf.psi(-ph), center, levels, lam))
-        return StepFunction(self.space, out)
+            steps = [Fraction(p) ** s for s in tshapes]
+            for idx in product(*(range(p ** (S - s))
+                                 for s, S in zip(tshapes, shapes))):
+                center = tuple(c + st * k
+                               for c, st, k in zip(t.center, steps, idx))
+                refined.append(Term(t.coeff, center, levels, t.phase))
+        return StepFunction(self.space, refined).merged()
 
     def is_zero(self) -> bool:
         return not self.canonicalize().terms

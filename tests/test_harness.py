@@ -153,3 +153,13 @@ def test_registry_counts_match_signatures():
 def test_run_all_follows_the_registry():
     reports = harness.run_all(p_list=(3,), instances=2)
     assert [rep.name for rep in reports] == list(harness.SUITES)
+
+
+def test_weil_suite_checks_index_ratios_at_its_own_primes():
+    details = [r["detail"] for r in
+               harness.verify_weil_suite(p_list=(5,)).instances]
+    assert all(d.startswith("p=5 ") for d in details)
+    assert sum("index ratio" in d for d in details) == 6
+    details = [r["detail"] for r in
+               harness.verify_weil_suite(p_list=(7,)).instances]
+    assert not any("index ratio" in d for d in details)

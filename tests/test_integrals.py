@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 from orbitlab.cyclo import Cyc
-from orbitlab.integrals import (gl_orbit_integral, support_radius,
+from orbitlab.integrals import (_action_matrix_gl2, _k_quotient_level,
+                                _k_reps, chi_average_compact,
+                                gl_orbit_integral, support_radius,
                                 unitary_orbit_integral, weil_index,
                                 weil_index_form)
 from orbitlab.etale import EtaleAlgebra, LineFactor
@@ -109,3 +111,70 @@ def test_support_radius():
     space = Space.lines(lf, 2)
     f = StepFunction.indicator(space, [0, 0], [-2, -2])
     assert support_radius(alg, f) >= 2
+
+
+def _unmerged_average(lf, f):
+    """The chi(det k)-weighted average as the plain sum of its pullbacks,
+    with no merging."""
+    terms, count = [], 0
+    for k in _k_reps(lf.p, _k_quotient_level(f)):
+        det = k[0][0] * k[1][1] - k[0][1] * k[1][0]
+        g = f.affine_pullback(_action_matrix_gl2(k)).scale(lf.chi(det))
+        terms.extend(g.terms)
+        count += 1
+    return StepFunction(f.space, terms).scale(Fraction(1, count))
+
+
+def _gl2_vv_function(lf, rng, level, nterms=3, phases=False):
+    p = lf.p
+    terms = []
+    for _ in range(nterms):
+        center = [Fraction(rng.randrange(-p, p + 1)) for _ in range(8)]
+        phase = ([Fraction(rng.randrange(-p, p + 1), p) for _ in range(8)]
+                 if phases else None)
+        terms.append(Term(Cyc.rational(Fraction(rng.randrange(1, 4)), p),
+                          center, [level] * 8, phase))
+    return StepFunction(Space.lines(lf, 8), terms)
+
+
+def test_chi_average_compact_equals_the_unmerged_average():
+    rng = random.Random(21)
+    for tau in (Fraction(2), Fraction(3)):
+        lf = LocalField(3, tau)
+        f = _gl2_vv_function(lf, rng, level=1, phases=True)
+        fK = chi_average_compact(lf, f)
+        plain = _unmerged_average(lf, f)
+        assert len(fK.terms) < len(plain.terms)
+        assert fK == plain
+        for _ in range(40):
+            x = [Fraction(rng.randrange(-9, 10), rng.choice((1, 3)))
+                 for _ in range(8)]
+            assert fK.eval(x) == plain.eval(x)
+        for t in f.terms:
+            assert fK.eval(t.center) == plain.eval(t.center)
+
+
+def test_chi_average_compact_of_level_zero_is_one_term():
+    rng = random.Random(22)
+    for tau in (Fraction(2), Fraction(3)):
+        lf = LocalField(3, tau)
+        f = _gl2_vv_function(lf, rng, level=0, nterms=4)
+        assert len(chi_average_compact(lf, f).terms) <= 1
+
+
+def test_chi_average_compact_certification_keeps_its_points(monkeypatch):
+    lf = LocalField(3, Fraction(2))
+    f = _gl2_vv_function(lf, random.Random(23), level=0)
+    calls = []
+    original = StepFunction.eval
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(StepFunction, "eval", counting)
+    chi_average_compact(lf, f, certify=False)
+    assert not calls
+    chi_average_compact(lf, f)
+    # 12 points, 2 group elements, f(k x) and f(x) at each
+    assert len(calls) == 48

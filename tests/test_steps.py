@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitlab.cyclo import Cyc
-from orbitlab.scalar import LocalField
+from orbitlab.scalar import LocalField, valuation
 from orbitlab.steps import (LineBlock, MonomialGram, QuadBlock, Space,
                             StepFunction, Term, frac_mod_one, frac_mod_power)
 
@@ -179,3 +179,185 @@ def test_json_round_trip():
     space = Space(LF, [LineBlock(LF), QuadBlock(LF, Fraction(2), False)])
     h = StepFunction.indicator(space, [0, 0, 0], [0, 1])
     assert StepFunction.from_json(h.to_json(), LF) == h
+
+
+# ---------------------------------------------------------------------------
+# merging at the terms' own level, against the full refinement
+
+
+def _canonicalize_full_refinement(f):
+    """Reference: refine every term to the finest level in every block and
+    merge the sub-boxes, with no merge before the refinement."""
+    if not f.terms:
+        return f
+    lf = f.space.lf
+    p = lf.p
+    nb = len(f.space.blocks)
+    levels = tuple(max(t.levels[i] for t in f.terms) for i in range(nb))
+    shapes = f.space.coord_shapes(levels)
+    acc = {}
+    for t in f.terms:
+        tshapes = f.space.coord_shapes(t.levels)
+        ranges = [p ** (S - s) for s, S in zip(tshapes, shapes)]
+        lam = tuple(frac_mod_power(v, p, -S) for v, S in zip(t.phase, shapes))
+        dlam = tuple(a - b for a, b in zip(t.phase, lam))
+        idx = [0] * len(ranges)
+        while True:
+            center = tuple(
+                frac_mod_power(c + Fraction(p) ** s * k, p, S)
+                for c, s, S, k in zip(t.center, tshapes, shapes, idx))
+            ph = sum((dv * c for dv, c in zip(dlam, center)), Fraction(0))
+            ph += sum((lv * c for lv, c in zip(lam, center)), Fraction(0))
+            key = (center, lam)
+            acc[key] = acc.get(key, Cyc.zero(p)) + t.coeff * lf.psi(ph)
+            j = 0
+            while j < len(idx):
+                idx[j] += 1
+                if idx[j] < ranges[j]:
+                    break
+                idx[j] = 0
+                j += 1
+            else:
+                break
+    out = []
+    for (center, lam), coeff in acc.items():
+        if coeff.is_zero():
+            continue
+        ph = sum((lv * c for lv, c in zip(lam, center)), Fraction(0))
+        out.append(Term(coeff * lf.psi(-ph), center, levels, lam))
+    return StepFunction(f.space, out)
+
+
+FIELDS = {p: LocalField(p, Fraction(2)) for p in (3, 5)}
+
+
+def _form(f):
+    return {(t.center, t.levels, t.phase): t.coeff for t in f.terms}
+
+
+@st.composite
+def _spaces(draw):
+    p = draw(st.sampled_from(sorted(FIELDS)))
+    lf = FIELDS[p]
+    # d0 = 2 is a non-square unit at p = 3, 5; d0 = p is ramified
+    kinds = draw(st.lists(st.sampled_from(("line", "unram", "ram")),
+                          min_size=1, max_size=2))
+    return Space(lf, [LineBlock(lf) if k == "line"
+                      else QuadBlock(lf, Fraction(2 if k == "unram" else p),
+                                     k == "ram")
+                      for k in kinds])
+
+
+@st.composite
+def _terms(draw, space, lo):
+    """Terms on a few shared centers and phases, so that keys repeat; the
+    box levels are lo or lo + 1 in each block."""
+    p = space.lf.p
+    rat = st.builds(Fraction, st.integers(-p, p),
+                    st.sampled_from((1, p)))
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeff = Cyc.rational(draw(st.sampled_from((1, -1, 2, Fraction(1, 3)))),
+                             p)
+        if draw(st.booleans()):
+            coeff = coeff * space.lf.psi(Fraction(draw(st.integers(1, p - 1)),
+                                                  p))
+        center = [draw(rat) for _ in range(space.dim)]
+        levels = [lo + draw(st.integers(0, 1)) for _ in space.blocks]
+        phase = [draw(rat) / draw(st.sampled_from((1, p)))
+                 for _ in range(space.dim)]
+        out.append(Term(coeff, center, levels, phase))
+    return out
+
+
+@st.composite
+def _step_functions(draw, space=None):
+    space = space or draw(_spaces())
+    lo = draw(st.sampled_from((-1, 0) if space.lf.p == 3 else (0,)))
+    return StepFunction(space, draw(_terms(space, lo)))
+
+
+@st.composite
+def _rewritten(draw, f):
+    """The same function written with other centers and phases: each
+    center moves within its box and each phase within the box's dual
+    lattice, with the coefficient corrected by psi(-d . c)."""
+    lf, p = f.space.lf, f.space.lf.p
+    out = []
+    for t in f.terms:
+        shapes = f.space.coord_shapes(t.levels)
+        dc = [Fraction(p) ** s * draw(st.integers(-p, p)) for s in shapes]
+        dl = [Fraction(p) ** -s * draw(st.integers(-p, p)) for s in shapes]
+        ph = sum((d * c for d, c in zip(dl, t.center)), Fraction(0))
+        out.append(Term(t.coeff * lf.psi(-ph),
+                        [c + d for c, d in zip(t.center, dc)], t.levels,
+                        [v + d for v, d in zip(t.phase, dl)]))
+    return StepFunction(f.space, draw(st.permutations(out)))
+
+
+@st.composite
+def _pairs(draw):
+    f = draw(_step_functions())
+    g = draw(_rewritten(f))
+    how = draw(st.sampled_from(("same", "extra", "other")))
+    if how == "extra":
+        g = g + draw(_step_functions(f.space))
+    elif how == "other":
+        g = draw(_step_functions(f.space))
+    return f, g
+
+
+def _fine_points(draw, f, count=12):
+    """Points on the grid one level finer than the finest box, covering
+    the coarsest box and center."""
+    p = f.space.lf.p
+    shapes = [s for t in f.terms for s in f.space.coord_shapes(t.levels)]
+    lo = min(shapes + [min(valuation(c, p), 0)
+                       for t in f.terms for c in t.center])
+    span = p ** (max(shapes) + 1 - lo)
+    unit = Fraction(p) ** lo
+    return [[unit * draw(st.integers(0, span - 1)) for _ in range(f.space.dim)]
+            for _ in range(count)] + [list(t.center) for t in f.terms]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_merged_agrees_pointwise(data):
+    f = data.draw(_step_functions())
+    g = f.merged()
+    assert len(g.terms) <= len(f.terms)
+    for x in _fine_points(data.draw, f):
+        assert g.eval(x) == f.eval(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pairs())
+def test_equality_agrees_with_full_refinement(fg):
+    f, g = fg
+    d = f - g
+    oracle = _canonicalize_full_refinement(d)
+    c = d.canonicalize()
+    # the refinement stops at the survivors' finest level, so c is in the
+    # reference's canonical form, possibly at a coarser level
+    assert _form(_canonicalize_full_refinement(c)) == _form(c)
+    assert not _canonicalize_full_refinement(c - oracle).terms
+    assert d.is_zero() == (not oracle.terms)
+    assert (f == g) == (not oracle.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rewritten_function_is_equal_and_merges_away(data):
+    f = data.draw(_step_functions())
+    g = data.draw(_rewritten(f))
+    assert f == g
+    assert not (f - g).merged().terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(_step_functions())
+def test_merged_is_idempotent(f):
+    g = f.merged()
+    h = g.merged()
+    assert [(t.center, t.levels, t.phase, t.coeff) for t in h.terms] == \
+        [(t.center, t.levels, t.phase, t.coeff) for t in g.terms]
