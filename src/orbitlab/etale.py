@@ -370,13 +370,16 @@ def _u1_cosets(lf: LocalField, k: int) -> list[Q2]:
     # scale tau to the squarefree model: sqrt(tau) = s * sqrt(d0)
     d0 = fac.d0
     s = ratsqrt(tau / d0)
+    d = int(d0)
     mod = p ** (k + 1)
-    cands = [(Fraction(a), Fraction(1)) for a in range(mod)]
-    cands += [(Fraction(1), Fraction(c)) for c in range(0, mod, p)]
+    cands = [(a, 1) for a in range(mod)]
+    cands += [(1, c) for c in range(0, mod, p)]
     seen = {}
     for xa, xb in cands:
-        w = Q2(d0, xa, xb)
-        z = w / w.conj()
+        # w / conj(w) = w^2 / N(w) for w = xa + xb sqrt(d0), in integers
+        n = xa * xa - d * xb * xb
+        z = Q2(d0, Fraction(xa * xa + d * xb * xb, n),
+               Fraction(2 * xa * xb, n))
         key = _e_residue_key(fac, z, k)
         if key not in seen:
             # express back in the (1, sqrt(tau)) basis
