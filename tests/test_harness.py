@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from orbitlab import harness
 from orbitlab.cyclo import Cyc
@@ -150,9 +152,20 @@ def test_registry_counts_match_signatures():
         assert takes == (count is not None), name
 
 
+GOLDEN_RUN_ALL = Path(__file__).resolve().parent / "data" / "run_all_p3.json"
+
+
 def test_run_all_follows_the_registry():
     reports = harness.run_all(p_list=(3,), instances=2)
     assert [rep.name for rep in reports] == list(harness.SUITES)
+    # every report, less its wall time, matches the recorded run bit for
+    # bit: details, witnesses and the calibration constant
+    got = []
+    for rep in reports:
+        data = rep.to_json()
+        del data["runtime"]
+        got.append(data)
+    assert json.dumps(got, indent=1) + "\n" == GOLDEN_RUN_ALL.read_text()
 
 
 def test_weil_suite_checks_index_ratios_at_its_own_primes():
