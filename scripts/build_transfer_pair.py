@@ -25,7 +25,7 @@ from orbitlab.steps import Space
 def main(p, tau, seed):
     lf = LocalField(p, Fraction(tau) if tau else None)
     rng = random.Random(seed)
-    f = random_step_function(Space.lines(lf, 3), rng, nterms=3, maxlev=1)
+    f = random_step_function(Space.lines(lf, 3), rng, nterms=3)
     click.echo(f"input: {f}")
     f0, f1 = construct_jr_transfer_n1(lf, f, rng=rng)
     click.echo(f"norm-class side: {len(f0.terms)} terms")

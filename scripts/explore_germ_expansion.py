@@ -33,8 +33,7 @@ def main(p, mix, seed):
                        else QuadFactor(lf, int(arg)))
     alg = EtaleAlgebra(lf, factors)
     rng = random.Random(seed)
-    f = random_step_function(algebra_space(alg), rng, nterms=3, maxlev=1,
-                             lo=-1, hi=1)
+    f = random_step_function(algebra_space(alg), rng, nterms=3, lo=-1, hi=1)
     germ = germ_extract(alg, f)
     click.echo(f"algebra: {alg}")
     click.echo(f"support radius: {germ.radius}")

@@ -9,11 +9,12 @@ squarefree), so coordinates in the basis (1, sqrt(d0)) are exact.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .quadext import Q2
-from .scalar import (INF, LocalField, legendre, rational_mod, ratsqrt,
-                     unit_part, valuation)
+from .scalar import (INF, LocalField, legendre, rational_mod, unit_part,
+                     valuation)
 
 
 class UnsupportedAlgebraError(ValueError):
@@ -113,11 +114,12 @@ class LineFactor:
 
 class QuadFactor:
     """A quadratic field factor F(sqrt(d0)), d0 squarefree and non-square
-    in Q_p, with ring of integers Z_p[sqrt(d0)]."""
+    in Q_p, with ring of integers Z_p[sqrt(d0)] and eigenvalue
+    gamma = sqrt(d0)."""
 
     degree = 2
 
-    def __init__(self, lf: LocalField, d0: int, gamma: Q2 | None = None):
+    def __init__(self, lf: LocalField, d0: int):
         self.lf = lf
         self.d0 = Fraction(d0)
         if squarefree_kernel(d0) != d0:
@@ -129,7 +131,7 @@ class QuadFactor:
         self.f = 1 if self.ramified else 2
         self.e = 2 if self.ramified else 1
         self.q = lf.q**self.f
-        self.gamma = gamma if gamma is not None else Q2(self.d0, Fraction(0), Fraction(1))
+        self.gamma = Q2(self.d0, Fraction(0), Fraction(1))
 
     def contains_E(self) -> bool:
         return self.lf.square_class(self.d0) == self.lf.square_class(self.lf.tau)
@@ -334,43 +336,30 @@ class AlgElement:
         return f"AlgElement({self.coords})"
 
 
-_U1_COSETS: dict = {}
-
-
-def u1_cosets(lf: LocalField, k: int) -> list[Q2]:
+@functools.cache
+def u1_cosets(lf: LocalField, k: int) -> tuple[Q2, ...]:
     """Exact representatives of U(1)(F) modulo the principal congruence
-    subgroup of level k in E = F(sqrt(tau)), in the basis (1, sqrt(tau)).
+    subgroup of level k in E, in the squarefree model E = F(sqrt(d0)),
+    d0 = squarefree_kernel(tau): each is a + b sqrt(d0).
 
     By Hilbert 90, w -> w / conj(w) maps E^x / F^x = P^1(F) onto U(1), so
-    the representatives come from a walk over P^1(F) in the squarefree
-    model E = F(sqrt(d0)): w = a + sqrt(d0) for a mod p^(k+1), and
-    w = 1 + c sqrt(d0) for c in pZ_p mod p^(k+1) (c = 0 gives w = 1).
-    Both truncations move w / conj(w) only inside the level-k subgroup;
-    classes are told apart by _e_residue_key.  Each representative has
-    norm exactly 1.  For k >= 1 there are (p + 1) p^(k-1) classes for
-    unramified E and 2 p^(k // 2) for ramified E; level 0 has one.
+    the representatives come from a walk over P^1(F):
+    w = a + sqrt(d0) for a mod p^(k+1), and w = 1 + c sqrt(d0) for c in
+    pZ_p mod p^(k+1) (c = 0 gives w = 1).  Both truncations move
+    w / conj(w) only inside the level-k subgroup; classes are told apart
+    by _e_residue_key.  Each representative has norm exactly 1.  For
+    k >= 1 there are (p + 1) p^(k-1) classes for unramified E and
+    2 p^(k // 2) for ramified E; level 0 has one.
 
-    The classes are memoized per (p, tau, k); every call returns a fresh
-    list.
+    The result is cached per (lf, k); it is an immutable tuple.
     """
-    p, tau = lf.p, lf.tau
     if k < 0:
         raise ValueError("level must be nonnegative")
-    key = (p, tau, k)
-    if key not in _U1_COSETS:
-        _U1_COSETS[key] = _u1_cosets(lf, k)
-    return list(_U1_COSETS[key])
-
-
-def _u1_cosets(lf: LocalField, k: int) -> list[Q2]:
-    p, tau = lf.p, lf.tau
-    if k == 0:
-        return [Q2(tau, Fraction(1), Fraction(0))]
-    fac = QuadFactor(lf, squarefree_kernel(tau))
-    # scale tau to the squarefree model: sqrt(tau) = s * sqrt(d0)
+    fac = QuadFactor(lf, squarefree_kernel(lf.tau))
     d0 = fac.d0
-    s = ratsqrt(tau / d0)
-    d = int(d0)
+    if k == 0:
+        return (fac.one(),)
+    p, d = lf.p, int(d0)
     mod = p ** (k + 1)
     cands = [(a, 1) for a in range(mod)]
     cands += [(1, c) for c in range(0, mod, p)]
@@ -380,11 +369,8 @@ def _u1_cosets(lf: LocalField, k: int) -> list[Q2]:
         n = xa * xa - d * xb * xb
         z = Q2(d0, Fraction(xa * xa + d * xb * xb, n),
                Fraction(2 * xa * xb, n))
-        key = _e_residue_key(fac, z, k)
-        if key not in seen:
-            # express back in the (1, sqrt(tau)) basis
-            seen[key] = Q2(tau, z.a, z.b / s)
-    return list(seen.values())
+        seen.setdefault(_e_residue_key(fac, z, k), z)
+    return tuple(seen.values())
 
 
 def _e_residue_key(fac: QuadFactor, z: Q2, k: int):

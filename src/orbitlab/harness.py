@@ -140,11 +140,12 @@ def _rand_frac(rng, lo=-2, hi=2):
     return Fraction(rng.randint(lo, hi))
 
 
-def random_step_function(space: Space, rng, nterms=3, maxlev=1,
-                         lo=-2, hi=2, uniform=True) -> StepFunction:
-    """A random sum of indicator boxes with integer centers.  With uniform
-    levels (one level per term across all blocks) pullbacks stay on the
-    exact fast path; per-block levels give richer support shapes."""
+def random_step_function(space: Space, rng, nterms=3, lo=-2, hi=2,
+                         uniform=True) -> StepFunction:
+    """A random sum of indicator boxes with integer centers and box levels
+    0 or 1.  With uniform levels (one level per term across all blocks)
+    pullbacks stay on the exact fast path; per-block levels give richer
+    support shapes."""
     nb = len(space.blocks)
     terms = []
     for _ in range(nterms):
@@ -152,20 +153,28 @@ def random_step_function(space: Space, rng, nterms=3, maxlev=1,
                              space.lf.p)
         center = tuple(_rand_frac(rng, lo, hi) for _ in range(space.dim))
         if uniform:
-            levels = (rng.randint(0, maxlev),) * nb
+            levels = (rng.randint(0, 1),) * nb
         else:
-            levels = tuple(rng.randint(0, maxlev) for _ in range(nb))
+            levels = tuple(rng.randint(0, 1) for _ in range(nb))
         terms.append(Term(coeff, center, levels))
     return StepFunction(space, terms)
+
+
+def _factor_classes(lf: LocalField):
+    """The squarefree class t0 of tau, and the classes among u, p and u p
+    (u the smallest nonresidue) other than t0, in that order: the
+    quadratic factors the suites draw from."""
+    u = smallest_nonresidue(lf.p)
+    t0 = squarefree_kernel(lf.tau)
+    others = [d for d in (u, lf.p, u * lf.p)
+              if squarefree_kernel(Fraction(d)) != t0]
+    return t0, others
 
 
 def germ_mixes(lf: LocalField):
     """A catalog of factor mixes with m <= 3 covering line and quadratic
     factors inside and outside the class of the extension generator."""
-    u = smallest_nonresidue(lf.p)
-    t0 = squarefree_kernel(lf.tau)
-    others = [d for d in (u, lf.p, u * lf.p)
-              if squarefree_kernel(Fraction(d)) != t0]
+    t0, others = _factor_classes(lf)
     L = lambda r: LineFactor(lf, Fraction(r))
     Q = lambda d: QuadFactor(lf, d)
     return [
@@ -219,8 +228,7 @@ def verify_torus_germ(instances, p_list=(3, 5), seed=0,
             sp = algebra_space(alg)
             rng = random.Random(f"{seed}/{p}/{mi}")
             for _ in range(per_mix):
-                f = random_step_function(sp, rng, nterms=3, maxlev=1,
-                                         lo=-1, hi=1)
+                f = random_step_function(sp, rng, nterms=3, lo=-1, hi=1)
                 germ = germ_extract(alg, f)
                 ok, detail = True, f"p={p} mix={mi}"
                 for signs in _sign_patterns(alg):
@@ -248,11 +256,9 @@ def verify_m1_closed_forms(p_list=(3,), tau=None) -> VerificationReport:
     report = VerificationReport("m1-closed-forms")
     for p in p_list:
         lf = LocalField(p, tau)
-        u = smallest_nonresidue(p)
-        t0 = squarefree_kernel(lf.tau)
+        t0, others = _factor_classes(lf)
         factors = [LineFactor(lf, Fraction(0)), QuadFactor(lf, t0)]
-        factors += [QuadFactor(lf, d) for d in (u, p, u * p)
-                    if squarefree_kernel(Fraction(d)) != t0]
+        factors += [QuadFactor(lf, d) for d in others]
         for fac in factors:
             alg = EtaleAlgebra(lf, [fac])
             sp = algebra_space(alg)
@@ -352,7 +358,7 @@ def _descent_route(lf: LocalField, f: StepFunction, d: GLTriple) -> Cyc:
 
 def _random_descent_instance(lf, rng):
     sp8 = Space.lines(lf, 8)
-    f = random_step_function(sp8, rng, nterms=2, maxlev=1, lo=-1, hi=1)
+    f = random_step_function(sp8, rng, nterms=2, lo=-1, hi=1)
     u = smallest_nonresidue(lf.p)
     l1 = _rand_frac(rng)
     l2 = l1 + Fraction(rng.choice([1, 2, lf.p]))
@@ -394,7 +400,7 @@ def verify_descent_fourier(instances, p_list=(3,), seed=0) -> \
         rng = random.Random(f"{seed}/{p}/descent-fourier")
         sp8 = Space.lines(lf, 8)
         for i in range(instances):
-            f = random_step_function(sp8, rng, nterms=2, maxlev=1, lo=-1, hi=1)
+            f = random_step_function(sp8, rng, nterms=2, lo=-1, hi=1)
             a = parabolic_descent(lf, f.fourier(GRAM8))
             b = parabolic_descent(lf, f).fourier(GRAM6)
             ok = a == b
@@ -508,9 +514,7 @@ def verify_cohomology(p_list=(3,), seed=0, tau=None) -> VerificationReport:
             [Fraction(u), Fraction(p)]
         for t in taus:
             lf = LocalField(p, t)
-            t0 = squarefree_kernel(t)
-            others = [d for d in (u, p, u * p)
-                      if squarefree_kernel(Fraction(d)) != t0]
+            t0, others = _factor_classes(lf)
             L = lambda r: LineFactor(lf, Fraction(r))
             Q = lambda d: QuadFactor(lf, d)
             mixes = [[L(0)], [Q(t0)], [Q(others[0])], [L(0), L(1)],
@@ -584,8 +588,7 @@ def verify_nilpotent_identity(instances, p_list=(3, 5), seed=0,
         h1 = nonnorm_scalar(lf)
         sp3 = Space.lines(lf, 3)
         for i in range(per):
-            f = random_step_function(sp3, rng, nterms=3, maxlev=1,
-                                     uniform=False)
+            f = random_step_function(sp3, rng, nterms=3, uniform=False)
             gamma = _rand_frac(rng)
             c_plus = _deep_value(lf, f, gamma, 1)
             c_minus = _deep_value(lf, f, gamma, -1)

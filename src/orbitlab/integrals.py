@@ -12,7 +12,8 @@ import itertools
 from fractions import Fraction
 
 from .cyclo import Cyc, sqrt_p
-from .etale import EtaleAlgebra, AlgElement, LineFactor, squarefree_kernel
+from .etale import (EtaleAlgebra, AlgElement, LineFactor, squarefree_kernel,
+                    u1_cosets)
 from .quadext import Q2
 from .scalar import INF, LocalField, ratsqrt, smallest_nonresidue, valuation
 from .spaces import GLTriple
@@ -27,9 +28,10 @@ def block_for_factor(lf: LocalField, fac):
     return QuadBlock(lf, fac.d0, fac.ramified)
 
 
-def algebra_space(alg: EtaleAlgebra, copies: int = 2) -> Space:
-    """The space A^copies with one coordinate block per factor per copy."""
-    blocks = [block_for_factor(alg.lf, f) for f in alg.factors] * copies
+def algebra_space(alg: EtaleAlgebra) -> Space:
+    """The space A x A that mult_zeta integrates over, with one coordinate
+    block per factor per copy."""
+    blocks = [block_for_factor(alg.lf, f) for f in alg.factors] * 2
     return Space(alg.lf, blocks)
 
 
@@ -48,7 +50,7 @@ def torus_orbit_integral(alg: EtaleAlgebra, f: StepFunction,
     """Integral over T of f(t, eps t^{-1}) chi(t) dt, as an exact value."""
     if not eps.is_unit():
         raise ValueError("eps must be invertible")
-    modes = [FactorMode(eps=c, sigma=0, char=True) for c in eps.coords]
+    modes = [FactorMode(eps=c) for c in eps.coords]
     return mult_zeta(alg, f, modes).value_at_one()
 
 
@@ -68,11 +70,11 @@ def c_empty_zeta(alg: EtaleAlgebra, f: StepFunction, signs) -> ZetaElement:
         prefactor = 1
         for i in range(alg.m):
             if i not in S1:
-                modes.append(FactorMode(integrate=False))
+                modes.append(FactorMode(slot1=False, slot2=False))
             elif i in lam:
-                modes.append(FactorMode(slot2=False, sigma=1, char=True))
+                modes.append(FactorMode(slot2=False, sigma=1))
             else:
-                modes.append(FactorMode(slot1=False, sigma=-1, char=True))
+                modes.append(FactorMode(slot1=False, sigma=-1))
                 prefactor *= sign_of[i]
         total = total + mult_zeta(alg, f, modes) * Fraction(prefactor)
     return total
@@ -165,17 +167,21 @@ def support_radius(alg: EtaleAlgebra, f: StepFunction) -> int:
     return 2 * bound
 
 
-def germ_extract(alg: EtaleAlgebra, f: StepFunction,
-                 radius: int | None = None, max_radius: int = 24) -> GermExpansion:
+# the deepest radius germ_extract tries before giving up
+MAX_GERM_RADIUS = 24
+
+
+def germ_extract(alg: EtaleAlgebra, f: StepFunction) -> GermExpansion:
     """Solve for the expansion coefficients from torus orbit integrals on a
-    grid of deep valuations, then certify out of sample; deepen on failure."""
-    N = radius if radius is not None else support_radius(alg, f)
+    grid of deep valuations, starting at support_radius(alg, f), then
+    certify out of sample; deepen by 2 on failure, up to MAX_GERM_RADIUS."""
+    N = support_radius(alg, f)
     while True:
         exp = _extract_at_radius(alg, f, N)
         if _certify(alg, f, exp):
             return exp
         N += 2
-        if N > max_radius:
+        if N > MAX_GERM_RADIUS:
             raise ArithmeticError("germ expansion inconsistent within radius bound")
 
 
@@ -278,7 +284,7 @@ def rank1_slice_zeta(alg: EtaleAlgebra, g: StepFunction, v, vs,
     sv = Fraction(v) if v else Fraction(1)
     sw = Fraction(vs) if vs else Fraction(1)
     g = g.affine_pullback([[sv, Fraction(0)], [Fraction(0), sw]])
-    mode = FactorMode(slot1=bool(v), slot2=bool(vs), sigma=sigma, char=True)
+    mode = FactorMode(slot1=bool(v), slot2=bool(vs), sigma=sigma)
     return mult_zeta(alg, g, [mode])
 
 
@@ -350,8 +356,8 @@ def _rank2_torus_value(lf: LocalField, h: StepFunction, l1, l2) -> Cyc:
     # EtaleAlgebra keeps its factors in the given order, so (v1, v2, w1, w2)
     # already is the algebra's (slot1, slot1, slot2, slot2)
     alg = EtaleAlgebra(lf, [LineFactor(lf, l1), LineFactor(lf, l2)])
-    modes = [FactorMode(slot2=False, sigma=1, char=True),
-             FactorMode(slot1=False, sigma=-1, char=True)]
+    modes = [FactorMode(slot2=False, sigma=1),
+             FactorMode(slot1=False, sigma=-1)]
     return mult_zeta(alg, h, modes).value_at_one()
 
 
@@ -532,15 +538,14 @@ def _action_matrix_gl2(k):
     return R
 
 
-def chi_average_compact(lf: LocalField, f: StepFunction,
-                        level: int | None = None,
-                        certify: bool = True) -> StepFunction:
+def chi_average_compact(lf: LocalField, f: StepFunction) -> StepFunction:
     """The chi(det k)-weighted average of f over the maximal compact
-    subgroup acting on gl_2 x V x V*, computed over a finite congruence
-    quotient and optionally certified by a covariance spot check."""
+    subgroup acting on gl_2 x V x V*, computed over the congruence quotient
+    of level _k_quotient_level(f) and certified by a covariance spot check
+    at 12 points and 2 group elements."""
     if f.space.dim != 8:
         raise ValueError("expected a function on gl_2 x V x V*")
-    m = level if level is not None else _k_quotient_level(f)
+    m = _k_quotient_level(f)
     p = lf.p
     terms = []
     count = 0
@@ -551,32 +556,30 @@ def chi_average_compact(lf: LocalField, f: StepFunction,
         count += 1
     fK = StepFunction(f.space, terms).merged().scale(
         Cyc.rational(Fraction(1, count), p))
-    if certify:
-        pts = [tuple(Fraction((7 * i + 3 * j + i * j) % 5 - 2)
-                     for j in range(8)) for i in range(8)]
-        pts += [tuple(Fraction((7 * i + 3 * j + i * j) % (p**2), p)
-                      for j in range(8)) for i in range(3)]
-        pts += [tuple(Fraction(0) for _ in range(8))]
-        for k in (((Fraction(1), Fraction(1)), (Fraction(1), Fraction(2))),
-                  ((Fraction(2), Fraction(1)), (Fraction(p), Fraction(1)))):
-            det = k[0][0] * k[1][1] - k[0][1] * k[1][0]
-            R = _action_matrix_gl2(k)
-            w = Cyc.rational(Fraction(lf.chi(det)), p)
-            for x in pts:
-                y = tuple(sum(R[i][j] * x[j] for j in range(8))
-                          for i in range(8))
-                if fK.eval(y) != fK.eval(x) * w:
-                    raise ArithmeticError("compact averaging level too coarse")
+    pts = [tuple(Fraction((7 * i + 3 * j + i * j) % 5 - 2)
+                 for j in range(8)) for i in range(8)]
+    pts += [tuple(Fraction((7 * i + 3 * j + i * j) % (p**2), p)
+                  for j in range(8)) for i in range(3)]
+    pts += [tuple(Fraction(0) for _ in range(8))]
+    for k in (((Fraction(1), Fraction(1)), (Fraction(1), Fraction(2))),
+              ((Fraction(2), Fraction(1)), (Fraction(p), Fraction(1)))):
+        det = k[0][0] * k[1][1] - k[0][1] * k[1][0]
+        R = _action_matrix_gl2(k)
+        w = Cyc.rational(Fraction(lf.chi(det)), p)
+        for x in pts:
+            y = tuple(sum(R[i][j] * x[j] for j in range(8))
+                      for i in range(8))
+            if fK.eval(y) != fK.eval(x) * w:
+                raise ArithmeticError("compact averaging level too coarse")
     return fK
 
 
-def parabolic_descent(lf: LocalField, f: StepFunction,
-                      level: int | None = None,
-                      certify: bool = True) -> StepFunction:
+def parabolic_descent(lf: LocalField, f: StepFunction) -> StepFunction:
     """The descent of f along the (1,1) block decomposition: chi-weighted
-    compact average, lower-left block pinned to 0, upper-right block
-    integrated out.  Output coordinates: (x11, x22, v1, v2, w1, w2)."""
-    fK = chi_average_compact(lf, f, level=level, certify=certify)
+    compact average (chi_average_compact), lower-left block pinned to 0,
+    upper-right block integrated out.  Output coordinates:
+    (x11, x22, v1, v2, w1, w2)."""
+    fK = chi_average_compact(lf, f)
     h = fK.restrict_zero([2])
     return h.partial_integrate([1])
 
@@ -585,23 +588,24 @@ def parabolic_descent(lf: LocalField, f: StepFunction,
 # unitary orbit integrals at rank 1
 
 
-def unitary_orbit_integral(lf: LocalField, f: StepFunction, delta, w,
-                           max_level: int = 16) -> Cyc:
+# the finest congruence level unitary_orbit_integral averages at
+MAX_U1_LEVEL = 16
+
+
+def unitary_orbit_integral(lf: LocalField, f: StepFunction, delta, w) -> Cyc:
     """int over U(1) of f(delta, g w) dg for f on F x E, with total mass 1;
-    computed by congruence-coset averaging at a stabilized level."""
-    from .etale import u1_cosets
+    computed by congruence-coset averaging at a stabilized level.  E is
+    the squarefree model F(sqrt(d0)), in which w and the cosets live."""
     d0 = Fraction(squarefree_kernel(lf.tau))
-    s = ratsqrt(lf.tau / d0)
     if not isinstance(w, Q2):
         w = Q2(d0, Fraction(w), Fraction(0))
     prev = None
     k = 1
-    while k <= max_level:
+    while k <= MAX_U1_LEVEL:
         acc = Cyc.zero(lf.p)
         reps = u1_cosets(lf, k)
         for z in reps:
-            z0 = Q2(d0, z.a, z.b * s)
-            zw = z0 * w
+            zw = z * w
             acc = acc + f.eval((delta, zw.a, zw.b))
         val = acc * Cyc.rational(Fraction(1, len(reps)), lf.p)
         if prev is not None and val == prev:

@@ -187,10 +187,10 @@ class StepFunction:
         return StepFunction(space, [])
 
     @staticmethod
-    def indicator(space: Space, center, levels, coeff=None, phase=None):
-        c = coeff if isinstance(coeff, Cyc) else Cyc.rational(
-            1 if coeff is None else coeff, space.lf.p)
-        return StepFunction(space, [Term(c, center, levels, phase)])
+    def indicator(space: Space, center, levels) -> "StepFunction":
+        """The indicator of the box center + pi^levels O."""
+        return StepFunction(space, [Term(Cyc.one(space.lf.p), center,
+                                         levels)])
 
     # -- evaluation --------------------------------------------------------
 
@@ -350,71 +350,43 @@ class StepFunction:
 
     # -- Fourier transform -------------------------------------------------
 
-    def fourier(self, gram: "MonomialGram | None" = None,
-                coords=None) -> "StepFunction":
-        """Partial Fourier transform on the marked coordinates:
+    def fourier(self, gram: "MonomialGram | None" = None) -> "StepFunction":
+        """Fourier transform on a space of line blocks:
 
-            F(f)(x) = integral over the marked coordinates of
-                      f(y) psi(<x_marked, G y_marked>) dy_marked,
+            F(f)(x) = integral of f(y) psi(<x, G y>) dy,
 
-        exact term by term.  The marked coordinates must each fill a line
-        block, and G (indexed within the marked coordinates) must be a
-        symmetric monomial matrix.  Unmarked coordinates pass through.
+        exact term by term, with G a symmetric monomial matrix (the
+        identity by default).  On line blocks the block index of a
+        coordinate is the coordinate index.
         """
+        if any(not isinstance(b, LineBlock) for b in self.space.blocks):
+            raise ValueError("Fourier transform needs line blocks")
         n = self.space.dim
         lf = self.space.lf
-        if coords is None:
-            coords = list(range(n))
-        coords = list(coords)
-        marked = set(coords)
-        for i, blk in enumerate(self.space.blocks):
-            off = self.space.offsets[i]
-            span = set(range(off, off + blk.dim))
-            if span & marked:
-                if not isinstance(blk, LineBlock):
-                    raise ValueError("Fourier transform needs line blocks")
         if gram is None:
-            gram = MonomialGram.identity(len(coords))
-        if len(gram.perm) != len(coords):
+            gram = MonomialGram.identity(n)
+        if len(gram.perm) != n:
             raise ValueError("Gram size mismatch")
         out = []
         for t in self.terms:
             vol = Fraction(1)
             ph_const = Fraction(0)
-            center = list(t.center)
-            levels = list(t.levels)
-            phase = list(t.phase)
-            # block index of each marked coordinate (line blocks: 1 coord each)
-            for a, ja in enumerate(coords):
-                ba = self._block_of_coord(ja)
-                vol /= Fraction(lf.p) ** t.levels[ba]
-                ph_const += t.phase[ja] * t.center[ja]
-            newc = {}
-            newl = {}
-            newph = {}
-            for a, ja in enumerate(coords):
-                sa = coords[gram.perm[a]]
+            for j in range(n):
+                vol /= Fraction(lf.p) ** t.levels[j]
+                ph_const += t.phase[j] * t.center[j]
+            center = [None] * n
+            levels = [None] * n
+            phase = [None] * n
+            for a in range(n):
+                sa = gram.perm[a]
                 g = gram.scales[a]
-                ba = self._block_of_coord(ja)
                 # condition (Gx)_a + lambda_a in p^{-k} Z_p on x_{perm(a)}
-                newc[sa] = -t.phase[ja] / g
-                newl[self._block_of_coord(sa)] = -t.levels[ba] - valuation(g, lf.p)
-                newph[ja] = g * t.center[sa]
-            for j in newc:
-                center[j] = newc[j]
-            for b in newl:
-                levels[b] = newl[b]
-            for j in newph:
-                phase[j] = newph[j]
+                center[sa] = -t.phase[a] / g
+                levels[sa] = -t.levels[a] - valuation(g, lf.p)
+                phase[a] = g * t.center[sa]
             out.append(Term(t.coeff * Cyc.rational(vol, lf.p) * lf.psi(ph_const),
-                            tuple(center), tuple(levels), tuple(phase)))
+                            center, levels, phase))
         return StepFunction(self.space, out)
-
-    def _block_of_coord(self, j: int) -> int:
-        for i in range(len(self.space.blocks) - 1, -1, -1):
-            if self.space.offsets[i] <= j:
-                return i
-        raise IndexError(j)
 
     def parity_flip(self) -> "StepFunction":
         """g(x) = f(-x)."""
@@ -425,15 +397,14 @@ class StepFunction:
 
     # -- pullbacks ---------------------------------------------------------
 
-    def affine_pullback(self, mat, shift=None) -> "StepFunction":
-        """g(x) = f(A x + b) for invertible rational A (line blocks only)."""
+    def affine_pullback(self, mat) -> "StepFunction":
+        """g(x) = f(A x) for invertible rational A (line blocks only); a
+        shift f(A x + b) is translate(b) followed by the pullback."""
         if any(not isinstance(b, LineBlock) for b in self.space.blocks):
             raise ValueError("affine pullback needs line blocks")
         n = self.space.dim
-        lf = self.space.lf
-        p = lf.p
+        p = self.space.lf.p
         A = [[Fraction(c) for c in row] for row in mat]
-        b = tuple(Fraction(c) for c in (shift or [0] * n))
         Ainv = mat_inverse(A)
         At_lam = lambda lam: tuple(
             sum(A[i][j] * lam[i] for i in range(n)) for j in range(n))
@@ -446,14 +417,12 @@ class StepFunction:
         monomial = (all(sum(1 for c in row if c) == 1 for row in A)
                     and len(set(col_of)) == n)
         for t in self.terms:
-            ph_b = sum((l * bi for l, bi in zip(t.phase, b)), Fraction(0))
-            coeff = t.coeff * lf.psi(ph_b)
             phase = At_lam(t.phase)
-            cmb = tuple(ci - bi for ci, bi in zip(t.center, b))
             new_center = tuple(
-                sum(Ainv[i][j] * cmb[j] for j in range(n)) for i in range(n))
+                sum(Ainv[i][j] * t.center[j] for j in range(n))
+                for i in range(n))
             if unimodular and len(set(t.levels)) == 1:
-                out.append(Term(coeff, new_center, t.levels, phase))
+                out.append(Term(t.coeff, new_center, t.levels, phase))
                 continue
             if monomial:
                 # row i reads coordinate col_of[i]: one box maps to one box
@@ -461,14 +430,14 @@ class StepFunction:
                 for i in range(n):
                     levels[col_of[i]] = t.levels[i] - valuation(
                         A[i][col_of[i]], p)
-                out.append(Term(coeff, new_center, tuple(levels), phase))
+                out.append(Term(t.coeff, new_center, tuple(levels), phase))
                 continue
             # general case: decompose A^{-1} * diag(p^k) Z_p^n into boxes
             B = [[Ainv[i][j] * Fraction(p) ** t.levels[j] for j in range(n)]
                  for i in range(n)]
             for box_center, box_levels in _lattice_boxes(B, p):
                 c2 = tuple(a + dd for a, dd in zip(new_center, box_center))
-                out.append(Term(coeff, c2, box_levels, phase))
+                out.append(Term(t.coeff, c2, box_levels, phase))
         return StepFunction(self.space, out)
 
     # -- canonical form and equality ---------------------------------------

@@ -97,25 +97,9 @@ def _diagonalize_sym(G):
     bv = lambda x, y: sum(x[i] * G[i][j] * y[j]
                           for i in range(n) for j in range(n))
     d = bv(v, v)
-    # complement basis via projection
-    comp = []
-    for i in range(n):
-        e = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        c = bv(e, v) / d
-        w = [a - c * b for a, b in zip(e, v)]
-        comp.append(w)
-    # reduce comp to an independent set
-    red, pivots = [], []
-    for w in comp:
-        x = w[:]
-        for (pi, basis_w) in zip(pivots, red):
-            if x[pi] != 0:
-                f = x[pi] / basis_w[pi]
-                x = [a - f * b for a, b in zip(x, basis_w)]
-        piv = next((i for i, a in enumerate(x) if a != 0), None)
-        if piv is not None:
-            red.append(x)
-            pivots.append(piv)
+    # the G-orthogonal complement of v: the kernel of the row (G v)^t
+    gv = [sum(G[i][j] * v[j] for j in range(n)) for i in range(n)]
+    red = nullspace([gv])
     sub = [[bv(a, b) for b in red] for a in red]
     return [d] + _diagonalize_sym(sub)
 

@@ -258,9 +258,9 @@ class Cell:
         self.meet_coset(fac, inv, level - 2 * v)
 
 
-def factor_zeta(fac, cell: Cell, use_char: bool, sigma: int, p) -> ZetaElement:
-    """Closed form of the integral over the cell of chi_i(t)^{use_char}
-    |t|_i^{sigma s} with multiplicative measure vol(O_i^x) = 1."""
+def factor_zeta(fac, cell: Cell, sigma: int, p) -> ZetaElement:
+    """Closed form of the integral over the cell of chi_i(t) |t|_i^{sigma s}
+    with multiplicative measure vol(O_i^x) = 1."""
     if cell.empty:
         return ZetaElement.zero(p)
     q_i, f_i = fac.q, fac.f
@@ -272,12 +272,12 @@ def factor_zeta(fac, cell: Cell, use_char: bool, sigma: int, p) -> ZetaElement:
             return ZetaElement.zero(p)
         j = level - a
         vol = Fraction(1, (q_i - 1) * q_i ** (j - 1))
-        coeff = Fraction(fac.chi(c)) if use_char else Fraction(1)
+        coeff = Fraction(fac.chi(c))
         return ZetaElement.monomial(Cyc.rational(coeff * vol, p), k * a, p)
     # full shells over the valuation window
-    if use_char and fac.chi_ramified_on_units():
+    if fac.chi_ramified_on_units():
         return ZetaElement.zero(p)
-    z = Fraction(fac.chi(fac.uniformizer())) if use_char else Fraction(1)
+    z = Fraction(fac.chi(fac.uniformizer()))
     lo, hi = cell.vmin, cell.vmax
     if lo == -INF and hi == INF:
         raise ValueError("divergent: unconstrained multiplicative integral")
@@ -304,26 +304,23 @@ class FactorMode:
     """How one factor of the algebra enters the integral.
 
     slot1/slot2: whether t (resp. eps * t^{-1}) feeds that copy of the
-    factor in f's argument; a disabled slot is pinned to 0.  integrate:
-    whether t_i is an integration variable at all (otherwise both slots
-    must be pinned and the factor contributes a 0/1 constant).
+    factor in f's argument; a disabled slot is pinned to 0.  A factor with
+    both slots pinned is not integrated: it contributes the constant 0 or
+    1.  Every integrated factor carries chi(t_i) |t_i|^{sigma s}.
     """
 
-    def __init__(self, integrate=True, slot1=True, slot2=True,
-                 eps=None, sigma=0, char=True):
-        self.integrate = integrate
+    def __init__(self, slot1=True, slot2=True, eps=None, sigma=0):
         self.slot1 = slot1
         self.slot2 = slot2
         self.eps = eps
         self.sigma = sigma
-        self.char = char
 
 
 def mult_zeta(alg, f: StepFunction, modes) -> ZetaElement:
-    """Integral over the product of the active factors' unit groups of
+    """Integral over the product of the integrated factors' unit groups of
 
         f(t_slot1-args, (eps t^{-1})_slot2-args)
-        * prod chi_i(t_i)^char * prod |t_i|^{sigma_i s} dt
+        * prod chi_i(t_i) * prod |t_i|^{sigma_i s} dt
 
     as an exact ZetaElement.  f lives on A x A (one block per factor,
     twice); pinned slots evaluate f's argument at 0."""
@@ -342,11 +339,6 @@ def mult_zeta(alg, f: StepFunction, modes) -> ZetaElement:
             l1 = t.levels[i]
             c2 = fac.from_coords(f.space.block_coords(t.center, m + i))
             l2 = t.levels[m + i]
-            if not mode.integrate:
-                if fac.val(c1) < l1 or fac.val(c2) < l2:
-                    dead = True
-                    break
-                continue
             cell = Cell()
             if mode.slot1:
                 cell.meet_coset(fac, c1, l1)
@@ -362,8 +354,9 @@ def mult_zeta(alg, f: StepFunction, modes) -> ZetaElement:
             elif fac.val(c2) < l2:
                 dead = True
                 break
-            z_i = factor_zeta(fac, cell, mode.char, mode.sigma, p)
-            prod = prod * z_i
+            if not (mode.slot1 or mode.slot2):
+                continue  # both slots pinned: the factor is not integrated
+            prod = prod * factor_zeta(fac, cell, mode.sigma, p)
             if prod.is_zero_poly():
                 dead = True
                 break

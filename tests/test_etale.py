@@ -7,7 +7,7 @@ from orbitlab.etale import (EtaleAlgebra, LineFactor, QuadFactor,
                             UnsupportedAlgebraError, _e_residue_key,
                             squarefree_kernel, u1_cosets)
 from orbitlab.quadext import Q2
-from orbitlab.scalar import LocalField, ratsqrt, smallest_nonresidue
+from orbitlab.scalar import LocalField, smallest_nonresidue
 
 
 def test_squarefree_kernel():
@@ -78,12 +78,11 @@ def test_u1_coset_counts_stabilize():
 def _u1_cosets_by_scan(lf, k):
     """Brute-force oracle: scan every w mod p^(k+1) of valuation 0 or 1
     and keep one w / conj(w) per level-k residue class."""
-    p, tau = lf.p, lf.tau
-    if k == 0:
-        return [Q2(tau, Fraction(1), Fraction(0))]
-    fac = QuadFactor(lf, squarefree_kernel(tau))
+    p = lf.p
+    fac = QuadFactor(lf, squarefree_kernel(lf.tau))
     d0 = fac.d0
-    s = ratsqrt(tau / d0)
+    if k == 0:
+        return [fac.one()]
     mod = p ** (k + 1)
     seen = {}
     for xa in range(mod):
@@ -93,16 +92,13 @@ def _u1_cosets_by_scan(lf, k):
             if fac.val(w) not in (0, 1):
                 continue
             z = w / w.conj()
-            key = _e_residue_key(fac, z, k)
-            if key not in seen:
-                seen[key] = Q2(tau, z.a, z.b / s)
+            seen.setdefault(_e_residue_key(fac, z, k), z)
     return list(seen.values())
 
 
 def _keys(lf, k, reps):
     fac = QuadFactor(lf, squarefree_kernel(lf.tau))
-    s = ratsqrt(lf.tau / fac.d0)
-    return {_e_residue_key(fac, Q2(fac.d0, z.a, z.b * s), k) for z in reps}
+    return {_e_residue_key(fac, z, k) for z in reps}
 
 
 @pytest.mark.parametrize("p,kmax", [(3, 3), (5, 2), (7, 2)])
@@ -110,13 +106,14 @@ def test_u1_cosets_match_brute_force_scan(p, kmax):
     u = smallest_nonresidue(p)
     for tau in (Fraction(u), Fraction(p), Fraction(u * p)):
         lf = LocalField(p, tau)
+        d0 = squarefree_kernel(tau)
         for k in range(kmax + 1):
             reps = u1_cosets(lf, k)
             keys = _keys(lf, k, reps)
             assert len(keys) == len(reps)
             assert keys == _keys(lf, k, _u1_cosets_by_scan(lf, k))
             for z in reps:
-                assert z.d == tau and z.norm() == 1
+                assert z.d == d0 and z.norm() == 1
             if k == 0:
                 assert len(reps) == 1
             elif lf.unramified:
@@ -125,9 +122,8 @@ def test_u1_cosets_match_brute_force_scan(p, kmax):
                 assert len(reps) == 2 * p ** (k // 2)
 
 
-def test_u1_cosets_return_fresh_lists():
+def test_u1_cosets_are_one_cached_tuple():
     lf = LocalField(5, Fraction(2))
     first = u1_cosets(lf, 2)
-    want = [repr(z) for z in first]
-    first.clear()
-    assert [repr(z) for z in u1_cosets(lf, 2)] == want
+    assert isinstance(first, tuple)
+    assert u1_cosets(LocalField(5, Fraction(2)), 2) is first

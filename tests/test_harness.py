@@ -102,7 +102,7 @@ def test_transfer_terms_are_gl_orbit_integrals():
         d0 = Fraction(squarefree_kernel(lf.tau))
         rng = random.Random(f"hoisted/{tau}")
         f = harness.random_step_function(Space.lines(lf, 3), rng, nterms=3,
-                                         maxlev=1, uniform=False)
+                                         uniform=False)
         pair = construct_jr_transfer_n1(lf, f)
         hs = (Fraction(1), nonnorm_scalar(lf))
         checked = 0

@@ -117,11 +117,14 @@ def test_affine_pullback_matches_composition():
     for A in mats:
         f = _random_f(rng, with_phase=True)
         b = [Fraction(rng.randrange(-3, 4), 3) for _ in range(2)]
-        g = f.affine_pullback(A, b)
+        g = f.affine_pullback(A)
+        gb = f.translate(b).affine_pullback(A)
         for x in _points(rng, 2):
-            Ax = [sum(Fraction(A[i][j]) * x[j] for j in range(2)) + b[i]
+            Ax = [sum(Fraction(A[i][j]) * x[j] for j in range(2))
                   for i in range(2)]
             assert g.eval(x) == f.eval(Ax)
+            # a shifted pullback f(A x + b) is translate(b), then pull back
+            assert gb.eval(x) == f.eval([a + bi for a, bi in zip(Ax, b)])
 
 
 def test_partial_integrate_is_box_volume():
