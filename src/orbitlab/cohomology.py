@@ -104,6 +104,17 @@ def matrix_of(alg: EtaleAlgebra, elt: AlgElement, gamma_matrix):
     return out
 
 
+def vector_of(alg: EtaleAlgebra, elt: AlgElement, gamma_matrix, vec):
+    """The vector (sum c_k gamma^k) vec, evaluated on the vector by
+    Horner's rule (u <- gamma u + c vec) without forming the matrix."""
+    cs = poly_coeffs(alg, elt)
+    vec = list(vec)
+    u = [x * cs[-1] for x in vec]
+    for c in reversed(cs[:-1]):
+        u = [y + x * c for y, x in zip(mat_vec(gamma_matrix, u), vec)]
+    return u
+
+
 def factor_idempotent(alg: EtaleAlgebra, i: int) -> AlgElement:
     return alg.element([f.one() if j == i else f.zero()
                         for j, f in enumerate(alg.factors)])
@@ -148,14 +159,16 @@ def delta_family(lf, d: GLTriple, alg: EtaleAlgebra):
 
 def rho(alg: EtaleAlgebra, delta: UnitaryLieElement, w) -> H1Class:
     """The per-factor discriminant class of the form restricted to each
-    isotypic piece of a cyclic pair (delta, w)."""
+    isotypic piece of a cyclic pair (delta, w).
+
+    Each piece is spanned from the projection of w, computed by vector_of
+    on w alone.  Nothing is cached; callers that need a class more than
+    once compute it once."""
     lf = delta.space.lf
     bits = []
     for i in alg.S1():
         fac = alg.factors[i]
-        P = matrix_of(alg, factor_idempotent(alg, i), delta.mat)
-        u = mat_vec(P, list(w))
-        basis = [u]
+        basis = [vector_of(alg, factor_idempotent(alg, i), delta.mat, w)]
         for _ in range(fac.degree - 1):
             basis.append(mat_vec(delta.mat, basis[-1]))
         gram = [[delta.space.pair(a, b) for b in basis] for a in basis]

@@ -43,7 +43,18 @@ def squarefree_kernel(x) -> int:
     return d0 * n  # what is left is 1 or a prime
 
 
-class LineFactor:
+class _ValueKeyed:
+    """Factors compare and hash by their value key, so that per-class
+    results (deep elements, norm classes) can be cached on them."""
+
+    def __eq__(self, other):
+        return isinstance(other, _ValueKeyed) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+class LineFactor(_ValueKeyed):
     """The factor F itself, attached to a rational eigenvalue."""
 
     degree = 1
@@ -54,6 +65,7 @@ class LineFactor:
         self.lf = lf
         self.root = Fraction(root)
         self.q = lf.q
+        self.key = ("line", lf, self.root)
 
     @property
     def gamma(self):
@@ -112,7 +124,7 @@ class LineFactor:
         return f"LineFactor(root={self.root})"
 
 
-class QuadFactor:
+class QuadFactor(_ValueKeyed):
     """A quadratic field factor F(sqrt(d0)), d0 squarefree and non-square
     in Q_p, with ring of integers Z_p[sqrt(d0)] and eigenvalue
     gamma = sqrt(d0)."""
@@ -132,9 +144,14 @@ class QuadFactor:
         self.e = 2 if self.ramified else 1
         self.q = lf.q**self.f
         self.gamma = Q2(self.d0, Fraction(0), Fraction(1))
+        self.key = ("quad", lf, self.d0)
+        self._contains_E = None  # computed on the first contains_E() call
 
     def contains_E(self) -> bool:
-        return self.lf.square_class(self.d0) == self.lf.square_class(self.lf.tau)
+        if self._contains_E is None:
+            self._contains_E = (self.lf.square_class(self.d0) ==
+                                self.lf.square_class(self.lf.tau))
+        return self._contains_E
 
     def zero(self):
         return Q2(self.d0, Fraction(0), Fraction(0))
@@ -173,17 +190,25 @@ class QuadFactor:
         return min(va, vb)
 
     def residue_legendre(self, x) -> int:
-        """Square test of the unit part of x in the residue field."""
+        """Square test of the unit part u = x / pi^v (v = val(x)) in the
+        residue field, read off in closed form from x's coordinates.
+
+        Unramified (pi = p, residue field F_{p^2}): z^((q-1)/2) is the
+        Legendre symbol of Nm(u) = Nm(x) / p^(2v) over F_p.  Ramified
+        (pi = sqrt(d0), residue field F_p): the residue of u is that of
+        its rational coordinate, a / d0^(v/2) for even v and
+        b / d0^((v-1)/2) for odd v, since x sqrt(d0) = b d0 + a sqrt(d0).
+        """
         x = self._lift(x)
         v = self.val(x)
         if v == INF:
             raise ValueError("residue symbol of 0")
-        u = x / self.uniformizer() ** v
+        p = self.lf.p
         if self.ramified:
-            # residue field F_p; the unit part has integral coordinates
-            return legendre(rational_mod(u.a, self.lf.p, 1), self.lf.p)
-        # residue field F_{p^2}: z^((q-1)/2) = legendre of Nm(z) over F_p
-        return legendre(rational_mod(u.norm(), self.lf.p, 1), self.lf.p)
+            r = (x.b if v % 2 else x.a) / self.d0 ** (v // 2)
+        else:
+            r = x.norm() / Fraction(p) ** (2 * v)
+        return legendre(rational_mod(r, p, 1), p)
 
     def hilbert(self, a, b) -> int:
         """Tame Hilbert symbol over the quadratic factor."""

@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from .cohomology import (H1Class, all_classes, delta_family, inv,
-                         kappa_sign, subset_pairing)
+                         kappa_sign, rho, subset_pairing)
 from .cyclo import Cyc
 from .etale import EtaleAlgebra, LineFactor, QuadFactor, squarefree_kernel
 from .integrals import (_rank2_torus_value, algebra_space,
@@ -527,7 +527,9 @@ def verify_cohomology(p_list=(3,), seed=0, tau=None) -> VerificationReport:
                 d = _companion_triple(alg, rng)
                 fam = delta_family(lf, d, alg)
                 classes = list(all_classes(alg))
-                ok = all(inv(alg, fam[x], fam[y]) == x + y
+                # inv(fam[x], fam[y]) = rho(fam[x]) + rho(fam[y])
+                rho_of = {x: rho(alg, *fam[x]) for x in classes}
+                ok = all(rho_of[x] + rho_of[y] == x + y
                          for x in classes for y in classes)
                 S1 = alg.S1()
                 subsets = [lam for r in range(len(S1) + 1)

@@ -8,6 +8,7 @@ through numeric limits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -90,9 +91,14 @@ def _subsets(xs):
         yield from (frozenset(c) for c in itertools.combinations(xs, r))
 
 
+@functools.cache
 def deep_element(fac, depth: int, sign: int):
     """An element of the factor with valuation >= depth and chi value equal
-    to sign (the factor must not contain E when sign = -1)."""
+    to sign (the factor must not contain E when sign = -1).
+
+    Cached on (fac, depth, sign): factors hash by their value key (kind,
+    field, root or d0), so equal factors built apart share one entry.  The
+    result is an immutable scalar (Fraction or Q2)."""
     pi = fac.uniformizer()
     for a in (2 * depth, 2 * depth + 1):
         for unit in _unit_reps(fac):
@@ -622,13 +628,22 @@ def unitary_orbit_integral(lf: LocalField, f: StepFunction, delta, w) -> Cyc:
 def weil_index(lf: LocalField, a) -> Cyc:
     """The normalized Weil index of the quadratic form a x^2: the phase of
     the stabilized-lattice integral int psi(a x^2) dx, an eighth root of
-    unity."""
+    unity.
+
+    The index only depends on the square class of a; it is computed once
+    per (lf, square-class representative) by _weil_index_of_class and
+    cached there."""
     a = Fraction(a)
     if a == 0:
         raise ValueError("nondegenerate form required")
+    return _weil_index_of_class(lf, lf.square_class_rep(a))
+
+
+@functools.cache
+def _weil_index_of_class(lf: LocalField, a: Fraction) -> Cyc:
+    """weil_index for a square-class representative a, with its lattice
+    stabilization and unitarity checks; cached on (lf, a)."""
     p = lf.p
-    # the index only depends on the square class of the coefficient
-    a = lf.square_class_rep(a)
     v = valuation(a, p)
     m = max(1, -(-(2 - v) // 2))
     i_m = _phase_sum(lf, a, m)

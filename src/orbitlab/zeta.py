@@ -260,7 +260,9 @@ class Cell:
 
 def factor_zeta(fac, cell: Cell, sigma: int, p) -> ZetaElement:
     """Closed form of the integral over the cell of chi_i(t) |t|_i^{sigma s}
-    with multiplicative measure vol(O_i^x) = 1."""
+    with multiplicative measure vol(O_i^x) = 1.  Nothing is cached: a
+    finite valuation window is summed as rationals per exponent of u and
+    becomes one Cyc per exponent."""
     if cell.empty:
         return ZetaElement.zero(p)
     q_i, f_i = fac.q, fac.f
@@ -282,12 +284,12 @@ def factor_zeta(fac, cell: Cell, sigma: int, p) -> ZetaElement:
     if lo == -INF and hi == INF:
         raise ValueError("divergent: unconstrained multiplicative integral")
     if lo != -INF and hi != INF:
-        num = {}
+        # sum z^a per exponent k a as rationals; with sigma = 0 the whole
+        # window lands on exponent 0
+        sums = {}
         for a in range(int(lo), int(hi) + 1):
-            e = k * a
-            c = Cyc.rational(z**a, p)
-            num[e] = num.get(e, Cyc.zero(p)) + c
-        return ZetaElement(p, num)
+            sums[k * a] = sums.get(k * a, 0) + z**a
+        return ZetaElement(p, {e: Cyc.rational(c, p) for e, c in sums.items()})
     if k == 0:
         raise ValueError("divergent shell sum with no |t|^s damping")
     if hi == INF:

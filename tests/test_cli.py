@@ -175,7 +175,8 @@ def test_run_rejects_an_option_the_suite_does_not_take(monkeypatch):
 
 def test_scripts_parse_their_options():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for script in ("build_transfer_pair.py", "explore_germ_expansion.py"):
+    for script in ("bench.py", "build_transfer_pair.py",
+                   "explore_germ_expansion.py"):
         result = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / script), "--help"],
             env=env, capture_output=True, text=True, timeout=120)

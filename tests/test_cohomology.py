@@ -2,13 +2,17 @@ import itertools
 import random
 from fractions import Fraction
 
-from orbitlab.cohomology import (H1Class, all_classes, delta_family, inv,
-                                 kappa_sign, matrix_of, poly_coeffs,
-                                 subset_pairing)
+import pytest
+
+from orbitlab.cohomology import (H1Class, all_classes, delta_family,
+                                 factor_idempotent, inv, kappa_sign,
+                                 matrix_of, poly_coeffs, rho,
+                                 subset_pairing, vector_of)
 from orbitlab.etale import EtaleAlgebra, LineFactor, QuadFactor
 from orbitlab.harness import _companion_triple
-from orbitlab.linalg import mat_mul
-from orbitlab.scalar import LocalField
+from orbitlab.linalg import mat_mul, mat_vec
+from orbitlab.scalar import LocalField, smallest_nonresidue
+from orbitlab.spaces import HermitianSpace
 
 
 def _alg(lf, factors):
@@ -99,3 +103,40 @@ def test_matrix_of_on_companion_triples(lf3):
                                for k, f in enumerate(alg.factors)])
             assert matrix_of(alg, elt, g) == \
                 _power_sum(poly_coeffs(alg, elt), g)
+
+
+def _rho_by_projection(alg, delta, w):
+    """rho through the n x n projection matrix_of(e_i) applied to w."""
+    bits = []
+    for i in alg.S1():
+        P = matrix_of(alg, factor_idempotent(alg, i), delta.mat)
+        basis = [mat_vec(P, list(w))]
+        for _ in range(alg.factors[i].degree - 1):
+            basis.append(mat_vec(delta.mat, basis[-1]))
+        gram = [[delta.space.pair(a, b) for b in basis] for a in basis]
+        bits.append(HermitianSpace(delta.space.lf, gram).class_bit())
+    return H1Class(alg, bits)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_rho_matches_the_projection_matrix(p):
+    rng = random.Random(p)
+    u = smallest_nonresidue(p)
+    for tau in (u, p):
+        lf = LocalField(p, tau)
+        quad = [QuadFactor(lf, d0) for d0 in (u, p, u * p)]
+        outside = [q for q in quad if not q.contains_E()]
+        for factors in ([LineFactor(lf, Fraction(0)),
+                         LineFactor(lf, Fraction(1))],
+                        [LineFactor(lf, Fraction(2)), outside[0]],
+                        [LineFactor(lf, Fraction(-1))] + outside[:2]):
+            alg = EtaleAlgebra(lf, factors)
+            d = _companion_triple(alg, rng)
+            fam = delta_family(lf, d, alg)
+            for x in all_classes(alg):
+                delta, w = fam[x]
+                for i in alg.S1():
+                    e_i = factor_idempotent(alg, i)
+                    assert vector_of(alg, e_i, delta.mat, w) == \
+                        mat_vec(matrix_of(alg, e_i, delta.mat), list(w))
+                assert rho(alg, delta, w) == _rho_by_projection(alg, delta, w)

@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlab.etale import (EtaleAlgebra, LineFactor, QuadFactor,
                             UnsupportedAlgebraError, _e_residue_key,
                             squarefree_kernel, u1_cosets)
 from orbitlab.quadext import Q2
-from orbitlab.scalar import LocalField, smallest_nonresidue
+from orbitlab.scalar import (LocalField, legendre, rational_mod,
+                             smallest_nonresidue)
 
 
 def test_squarefree_kernel():
@@ -127,3 +130,73 @@ def test_u1_cosets_are_one_cached_tuple():
     first = u1_cosets(lf, 2)
     assert isinstance(first, tuple)
     assert u1_cosets(LocalField(5, Fraction(2)), 2) is first
+
+
+# squarefree d0 that are non-squares in Q_p, per p: (unramified, ramified)
+QUAD_D0 = {3: ((-1, 2, 5), (3, -3, 6)),
+           5: ((2, 3, -2), (5, -5, 10)),
+           7: ((-1, 3, 5), (7, -7, 21))}
+
+
+def _residue_legendre_by_division(fac, x):
+    """The residue symbol through Q2 division by uniformizer() ** v."""
+    p = fac.lf.p
+    u = x / fac.uniformizer() ** fac.val(x)
+    if fac.ramified:
+        return legendre(rational_mod(u.a, p, 1), p)
+    return legendre(rational_mod(u.norm(), p, 1), p)
+
+
+@st.composite
+def quad_points(draw):
+    """(factor, x) with val(x) anywhere in -6..30."""
+    p = draw(st.sampled_from(sorted(QUAD_D0)))
+    ramified = draw(st.booleans())
+    d0 = draw(st.sampled_from(QUAD_D0[p][ramified]))
+    fac = QuadFactor(LocalField(p), d0)
+    prime_to_p = st.integers(1, 30).filter(lambda n: n % p)
+    a = Fraction(draw(st.integers(-60, 60)), draw(prime_to_p))
+    b = Fraction(draw(st.integers(-60, 60)), draw(prime_to_p))
+    unit = fac.from_coords((a, b))
+    if not unit or fac.val(unit) != 0:
+        unit = fac.from_coords((Fraction(1), b))
+    x = unit * fac.uniformizer() ** draw(st.integers(-6, 30))
+    return fac, x
+
+
+@given(quad_points())
+@settings(max_examples=300)
+def test_residue_legendre_matches_division_by_the_uniformizer(point):
+    fac, x = point
+    assert fac.residue_legendre(x) == _residue_legendre_by_division(fac, x)
+
+
+@given(st.sampled_from((3, 5, 7)), st.booleans(),
+       st.fractions(-5, 5, max_denominator=4),
+       st.fractions(-5, 5, max_denominator=4))
+def test_factors_are_equal_exactly_when_their_keys_are(p, ramified_tau,
+                                                       r, s):
+    tau = p if ramified_tau else smallest_nonresidue(p)
+    lf, other = LocalField(p, tau), LocalField(p, p * smallest_nonresidue(p))
+    a, b = LineFactor(lf, r), LineFactor(LocalField(p, tau), r)
+    assert a == b and hash(a) == hash(b)
+    assert (a == LineFactor(lf, s)) == (r == s)
+    assert a != LineFactor(other, r)
+    for d0 in QUAD_D0[p][0] + QUAD_D0[p][1]:
+        q = QuadFactor(lf, d0)
+        assert q == QuadFactor(LocalField(p, tau), d0)
+        assert hash(q) == hash(QuadFactor(LocalField(p, tau), d0))
+        assert q != QuadFactor(other, d0)
+        assert q != a
+        assert all(q != QuadFactor(lf, e)
+                   for e in QUAD_D0[p][0] + QUAD_D0[p][1] if e != d0)
+
+
+def test_contains_e_is_computed_once(lf3, monkeypatch):
+    fac = QuadFactor(lf3, 2)
+    calls = []
+    real = LocalField.square_class
+    monkeypatch.setattr(LocalField, "square_class",
+                        lambda self, x: calls.append(x) or real(self, x))
+    assert [fac.contains_E() for _ in range(3)] == [True] * 3
+    assert len(calls) == 2

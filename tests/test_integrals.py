@@ -2,16 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from orbitlab import integrals
 from orbitlab.cyclo import Cyc
 from orbitlab.integrals import (_action_matrix_gl2, _k_quotient_level,
-                                _k_reps, chi_average_compact,
+                                _k_reps, chi_average_compact, deep_element,
                                 gl_orbit_integral, support_radius,
                                 unitary_orbit_integral, weil_index,
                                 weil_index_form)
-from orbitlab.etale import EtaleAlgebra, LineFactor
+from orbitlab.etale import EtaleAlgebra, LineFactor, QuadFactor
 from orbitlab.quadext import Q2
-from orbitlab.scalar import LocalField, valuation
+from orbitlab.scalar import LocalField, smallest_nonresidue, valuation
 from orbitlab.spaces import GLTriple
 from orbitlab.steps import LineBlock, QuadBlock, Space, StepFunction, Term
 
@@ -129,6 +132,58 @@ def test_weil_index_form_properties():
         direct = direct * weil_index(lf, c)
     assert weil_index_form(lf, coeffs) == direct
     assert weil_index_form(lf, list(reversed(coeffs))) == direct
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_weil_index_is_computed_once_per_class(p, monkeypatch):
+    calls = {}
+    real = integrals._phase_sum
+
+    def counted(lf, a, m):
+        calls[(lf, a)] = calls.get((lf, a), 0) + 1
+        return real(lf, a, m)
+
+    integrals._weil_index_of_class.cache_clear()
+    monkeypatch.setattr(integrals, "_phase_sum", counted)
+    inputs = [(LocalField(p, tau), rep * scale)
+              for tau in (smallest_nonresidue(p), p)
+              for rep in LocalField(p, tau).square_class_reps()
+              for scale in (1, 4, p**2)]
+    values = [weil_index(lf, a) for lf, a in inputs]
+    assert len(calls) == 8
+    assert all(n <= 2 for n in calls.values())
+    monkeypatch.undo()
+    uncached = integrals._weil_index_of_class.__wrapped__
+    assert values == [uncached(lf, lf.square_class_rep(a))
+                      for lf, a in inputs]
+
+
+# squarefree d0 that are non-squares in Q_p (unramified and ramified)
+QUAD_D0 = {3: (-1, 2, 3, 6), 5: (2, 3, 5, 10), 7: (-1, 3, 7, 21)}
+
+
+@st.composite
+def deep_element_keys(draw):
+    p = draw(st.sampled_from(sorted(QUAD_D0)))
+    lf = LocalField(p, draw(st.sampled_from((smallest_nonresidue(p), p))))
+    if draw(st.booleans()):
+        fac = LineFactor(lf, draw(st.fractions(-3, 3, max_denominator=3)))
+    else:
+        fac = QuadFactor(lf, draw(st.sampled_from(QUAD_D0[p])))
+    sign = 1 if fac.contains_E() else draw(st.sampled_from((1, -1)))
+    return fac, draw(st.integers(0, 8)), sign
+
+
+@given(deep_element_keys())
+def test_deep_element_cache_matches_the_uncached_search(key):
+    fac, depth, sign = key
+    x = deep_element(fac, depth, sign)
+    assert x == deep_element.__wrapped__(fac, depth, sign)
+    assert fac.val(x) >= depth and fac.chi(x) == sign
+    twin = (LineFactor(LocalField(fac.lf.p, fac.lf.tau), fac.root)
+            if fac.degree == 1 else
+            QuadFactor(LocalField(fac.lf.p, fac.lf.tau), int(fac.d0)))
+    assert deep_element(twin, depth, sign) is x
 
 
 def test_support_radius():

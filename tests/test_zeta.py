@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitlab.cyclo import Cyc
-from orbitlab.zeta import ZetaElement, ZetaPoleError, geometric_shells
+from orbitlab.etale import LineFactor, QuadFactor
+from orbitlab.scalar import LocalField, smallest_nonresidue
+from orbitlab.zeta import (Cell, ZetaElement, ZetaPoleError, factor_zeta,
+                           geometric_shells)
 
 P = 3
 
@@ -58,3 +61,34 @@ def test_monomial_and_one():
     c = Cyc.rational(Fraction(5, 2), P)
     assert ZetaElement.monomial(c, 3, P).value_at_one() == c
     assert ZetaElement.one(P).value_at_one() == Cyc.one(P)
+
+
+def _window_by_shells(fac, lo, hi, sigma, p):
+    """The finite shell window as one Cyc addition per shell."""
+    if fac.chi_ramified_on_units():
+        return ZetaElement.zero(p)
+    z = Fraction(fac.chi(fac.uniformizer()))
+    num = {}
+    for a in range(lo, hi + 1):
+        e = fac.f * sigma * a
+        num[e] = num.get(e, Cyc.zero(p)) + Cyc.rational(z**a, p)
+    return ZetaElement(p, num)
+
+
+# squarefree d0 that are non-squares in Q_p (unramified and ramified)
+QUAD_D0 = {3: (-1, 2, 3, 6), 5: (2, 3, 5, 10), 7: (-1, 3, 7, 21)}
+
+
+@given(st.sampled_from(sorted(QUAD_D0)), st.booleans(), st.data(),
+       st.integers(-2, 2), st.integers(-8, 8), st.integers(0, 30))
+@settings(max_examples=150)
+def test_factor_zeta_window_matches_the_shell_sum(p, ramified_tau, data,
+                                                  sigma, lo, width):
+    lf = LocalField(p, p if ramified_tau else smallest_nonresidue(p))
+    d0 = data.draw(st.sampled_from((None,) + QUAD_D0[p]))
+    fac = LineFactor(lf, Fraction(0)) if d0 is None else QuadFactor(lf, d0)
+    cell = Cell()
+    cell.vmin, cell.vmax = lo, lo + width
+    got = factor_zeta(fac, cell, sigma, p)
+    want = _window_by_shells(fac, lo, lo + width, sigma, p)
+    assert got.num == want.num and got.den == want.den == {}
