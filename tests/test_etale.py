@@ -165,7 +165,7 @@ def quad_points(draw):
 
 
 @given(quad_points())
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_residue_legendre_matches_division_by_the_uniformizer(point):
     fac, x = point
     assert fac.residue_legendre(x) == _residue_legendre_by_division(fac, x)
@@ -174,6 +174,7 @@ def test_residue_legendre_matches_division_by_the_uniformizer(point):
 @given(st.sampled_from((3, 5, 7)), st.booleans(),
        st.fractions(-5, 5, max_denominator=4),
        st.fractions(-5, 5, max_denominator=4))
+@settings(deadline=None)
 def test_factors_are_equal_exactly_when_their_keys_are(p, ramified_tau,
                                                        r, s):
     tau = p if ramified_tau else smallest_nonresidue(p)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitlab import integrals
@@ -175,6 +175,7 @@ def deep_element_keys(draw):
 
 
 @given(deep_element_keys())
+@settings(deadline=None)
 def test_deep_element_cache_matches_the_uncached_search(key):
     fac, depth, sign = key
     x = deep_element(fac, depth, sign)

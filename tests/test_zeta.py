@@ -81,7 +81,7 @@ QUAD_D0 = {3: (-1, 2, 3, 6), 5: (2, 3, 5, 10), 7: (-1, 3, 7, 21)}
 
 @given(st.sampled_from(sorted(QUAD_D0)), st.booleans(), st.data(),
        st.integers(-2, 2), st.integers(-8, 8), st.integers(0, 30))
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 def test_factor_zeta_window_matches_the_shell_sum(p, ramified_tau, data,
                                                   sigma, lo, width):
     lf = LocalField(p, p if ramified_tau else smallest_nonresidue(p))
