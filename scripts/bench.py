@@ -14,11 +14,14 @@ The benchmark itself is perfbench/run.py, called unchanged:
   wins (ties count for neither side);
 - the --trace 1 per-layer figures at TRACE_SEED;
 - tier-1 (the ROADMAP command) with --durations=0: its wall time, its
-  summary line and the call time of every acceptance criterion.
+  summary line and the call time of every acceptance criterion;
+- the machine: platform, Python version, CPU count, and the 1-minute
+  load average at the start and at the end of the record.
 """
 
 import json
 import os
+import platform
 import re
 import statistics
 import subprocess
@@ -91,7 +94,12 @@ def main(out, parent):
     seconds = spec["run_seconds"]
     sides = {"change": HERE} if parent is None else \
         {"parent": parent.resolve(), "change": HERE}
+    machine = {"platform": platform.platform(),
+               "python": platform.python_version(),
+               "cpu_count": os.cpu_count(),
+               "load_1min_start": os.getloadavg()[0]}
     record = {"seeds": list(SEEDS), "trace_seed": TRACE_SEED,
+              "machine": machine,
               "run_seconds": seconds,
               "revisions": {s: revision(r) for s, r in sides.items()},
               "workloads": {}, "trace": {}, "tier1": {}}
@@ -128,6 +136,7 @@ def main(out, parent):
     for s, root in sides.items():
         click.echo(f"tier-1 {s}", err=True)
         record["tier1"][s] = tier1(root)
+    machine["load_1min_end"] = os.getloadavg()[0]
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
 
 

@@ -1,10 +1,12 @@
 """Etale algebras F[gamma] = prod F_i over the base field, with exact
-per-factor arithmetic, valuations, residue symbols and norm tests.
+per-factor arithmetic, valuations and norm tests.
 
 Supported factors are F itself and quadratic field extensions F(sqrt(d0))
 with d0 a squarefree rational integer that is a non-square in Q_p.  The
 ring of integers of a quadratic factor is Z_p[sqrt(d0)] (p odd, d0
-squarefree), so coordinates in the basis (1, sqrt(d0)) are exact.
+squarefree), so coordinates in the basis (1, sqrt(d0)) are exact.  Each
+factor reads its valuation, e, f and q from its coordinate block in
+steps, and its character chi_i is chi composed with the norm to F.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import functools
 from fractions import Fraction
 
 from .quadext import Q2
-from .scalar import (INF, LocalField, legendre, rational_mod, unit_part,
-                     valuation)
+from .scalar import LocalField, rational_mod, squarefree_kernel, valuation
+from .steps import LineBlock, QuadBlock
 
 
 class UnsupportedAlgebraError(ValueError):
@@ -23,49 +25,52 @@ class UnsupportedAlgebraError(ValueError):
     quadratic factor F(sqrt(d0)) with d0 a square in Q_p."""
 
 
-def squarefree_kernel(x) -> int:
-    """The squarefree integer d0 with x = d0 * (rational square)."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("squarefree kernel of 0")
-    n = x.numerator * x.denominator
-    d0 = -1 if n < 0 else 1
-    n = abs(n)
-    k = 2
-    while k * k <= n:  # trial division: inputs are small
-        e = 0
-        while n % k == 0:
-            n //= k
-            e += 1
-        if e % 2:
-            d0 *= k
-        k += 1
-    return d0 * n  # what is left is 1 or a prime
+class _Factor:
+    """What both factor kinds share.  Factors compare and hash by their
+    value key, so that per-class results (deep elements, norm classes) can
+    be cached on them; their coordinate model is their steps block."""
 
-
-class _ValueKeyed:
-    """Factors compare and hash by their value key, so that per-class
-    results (deep elements, norm classes) can be cached on them."""
+    def __init__(self, lf: LocalField, key, block):
+        self.lf = lf
+        self.key = key
+        self.block = block
+        self.e, self.f, self.q = block.e, block.f, block.q
 
     def __eq__(self, other):
-        return isinstance(other, _ValueKeyed) and self.key == other.key
+        return isinstance(other, _Factor) and self.key == other.key
 
     def __hash__(self):
         return hash(self.key)
 
+    def val(self, x):
+        return self.block.val(self.coords(x))
 
-class LineFactor(_ValueKeyed):
+    def chi(self, x) -> int:
+        """chi composed with the norm F_i -> F; chi(0) = 0 flag."""
+        if not x:
+            return 0
+        if self.contains_E():
+            return 1
+        return self.lf.chi(self.norm(x))
+
+    def chi_ramified_on_units(self) -> bool:
+        """Whether chi composed with the norm is nontrivial on the unit
+        group of this factor.  A ramified factor's unit norms are squares
+        times principal units, so any quadratic character of F is trivial
+        on them; an unramified factor's norm is onto the units of F, so
+        this matches whether chi itself is ramified.  The conductor is at
+        most 1 in all cases."""
+        return self.e == 1 and not self.lf.unramified
+
+
+class LineFactor(_Factor):
     """The factor F itself, attached to a rational eigenvalue."""
 
     degree = 1
-    f = 1
-    e = 1
 
     def __init__(self, lf: LocalField, root: Fraction):
-        self.lf = lf
         self.root = Fraction(root)
-        self.q = lf.q
-        self.key = ("line", lf, self.root)
+        super().__init__(lf, ("line", lf, self.root), LineBlock(lf))
 
     @property
     def gamma(self):
@@ -84,35 +89,16 @@ class LineFactor(_ValueKeyed):
         return Fraction(x)
 
     def coords(self, x):
-        return (Fraction(x),)
+        return (x,)
 
     def from_coords(self, c):
         return Fraction(c[0])
 
+    def norm(self, x):
+        return x
+
     def uniformizer(self):
         return Fraction(self.lf.p)
-
-    def val(self, x):
-        return valuation(x, self.lf.p)
-
-    def residue_legendre(self, x) -> int:
-        """Square test of the unit part of x in the residue field."""
-        u = unit_part(x, self.lf.p)
-        return legendre(rational_mod(u, self.lf.p, 1), self.lf.p)
-
-    def hilbert(self, a, b) -> int:
-        return self.lf.hilbert(a, b)
-
-    def chi(self, x) -> int:
-        """chi composed with the norm F_i -> F (here the identity)."""
-        if x == 0:
-            return 0
-        return self.lf.chi(x)
-
-    def chi_ramified_on_units(self) -> bool:
-        """Whether chi (composed with the norm to F) is nontrivial on the
-        unit group of this factor.  Its conductor is always at most 1."""
-        return not self.lf.unramified
 
     def poly(self):
         return (Fraction(1), -self.root)
@@ -124,7 +110,7 @@ class LineFactor(_ValueKeyed):
         return f"LineFactor(root={self.root})"
 
 
-class QuadFactor(_ValueKeyed):
+class QuadFactor(_Factor):
     """A quadratic field factor F(sqrt(d0)), d0 squarefree and non-square
     in Q_p, with ring of integers Z_p[sqrt(d0)] and eigenvalue
     gamma = sqrt(d0)."""
@@ -132,19 +118,15 @@ class QuadFactor(_ValueKeyed):
     degree = 2
 
     def __init__(self, lf: LocalField, d0: int):
-        self.lf = lf
         self.d0 = Fraction(d0)
         if squarefree_kernel(d0) != d0:
             raise ValueError("d0 must be a squarefree integer")
         if lf.is_square(self.d0):
             raise UnsupportedAlgebraError("d0 is a square in Q_p")
-        vp = valuation(self.d0, lf.p)
-        self.ramified = vp % 2 == 1
-        self.f = 1 if self.ramified else 2
-        self.e = 2 if self.ramified else 1
-        self.q = lf.q**self.f
+        self.ramified = valuation(self.d0, lf.p) % 2 == 1
+        super().__init__(lf, ("quad", lf, self.d0),
+                         QuadBlock(lf, self.d0, self.ramified))
         self.gamma = Q2(self.d0, Fraction(0), Fraction(1))
-        self.key = ("quad", lf, self.d0)
         self._contains_E = None  # computed on the first contains_E() call
 
     def contains_E(self) -> bool:
@@ -169,6 +151,9 @@ class QuadFactor(_ValueKeyed):
     def from_coords(self, c):
         return Q2(self.d0, Fraction(c[0]), Fraction(c[1]))
 
+    def norm(self, x):
+        return self._lift(x).norm()
+
     def _lift(self, x) -> Q2:
         if isinstance(x, Q2):
             if x.d != self.d0:
@@ -180,68 +165,6 @@ class QuadFactor(_ValueKeyed):
         if self.ramified:
             return Q2(self.d0, Fraction(0), Fraction(1))  # sqrt(d0)
         return self.from_rational(self.lf.p)
-
-    def val(self, x):
-        x = self._lift(x)
-        p = self.lf.p
-        va, vb = valuation(x.a, p), valuation(x.b, p)
-        if self.ramified:
-            return min(2 * va, 2 * vb + 1)
-        return min(va, vb)
-
-    def residue_legendre(self, x) -> int:
-        """Square test of the unit part u = x / pi^v (v = val(x)) in the
-        residue field, read off in closed form from x's coordinates.
-
-        Unramified (pi = p, residue field F_{p^2}): z^((q-1)/2) is the
-        Legendre symbol of Nm(u) = Nm(x) / p^(2v) over F_p.  Ramified
-        (pi = sqrt(d0), residue field F_p): the residue of u is that of
-        its rational coordinate, a / d0^(v/2) for even v and
-        b / d0^((v-1)/2) for odd v, since x sqrt(d0) = b d0 + a sqrt(d0).
-        """
-        x = self._lift(x)
-        v = self.val(x)
-        if v == INF:
-            raise ValueError("residue symbol of 0")
-        p = self.lf.p
-        if self.ramified:
-            r = (x.b if v % 2 else x.a) / self.d0 ** (v // 2)
-        else:
-            r = x.norm() / Fraction(p) ** (2 * v)
-        return legendre(rational_mod(r, p, 1), p)
-
-    def hilbert(self, a, b) -> int:
-        """Tame Hilbert symbol over the quadratic factor."""
-        a, b = self._lift(a), self._lift(b)
-        va, vb = self.val(a), self.val(b)
-        if va == INF or vb == INF:
-            raise ValueError("Hilbert symbol needs nonzero arguments")
-        eps = (self.q - 1) // 2
-        s = (-1) ** (va * vb * eps)
-        s *= self.residue_legendre(a) ** vb
-        s *= self.residue_legendre(b) ** va
-        return 1 if s == 1 else -1
-
-    def chi(self, x) -> int:
-        """chi composed with the norm F_i -> F."""
-        x = self._lift(x)
-        if not x:
-            return 0
-        if self.contains_E():
-            return 1
-        return self.hilbert(x, self.from_rational(self.lf.tau))
-
-    def chi_ramified_on_units(self) -> bool:
-        """Whether chi composed with the norm is nontrivial on units.
-
-        Ramified factor: unit norms are squares times principal units, so
-        any quadratic character of F is trivial on them.  Unramified
-        factor: the norm is surjective on units, so this matches whether
-        chi itself is ramified.  Conductor is at most 1 in all cases.
-        """
-        if self.ramified:
-            return False
-        return not self.lf.unramified
 
     def poly(self):
         g = self.gamma
@@ -341,9 +264,6 @@ class AlgElement:
     def is_unit(self) -> bool:
         return all(bool(c) for c in self.coords)
 
-    def vals(self) -> list:
-        return [f.val(c) for f, c in zip(self.algebra.factors, self.coords)]
-
     def chi(self, indices=None) -> int:
         """Product of the per-factor chi values over the given indices."""
         idx = range(len(self.coords)) if indices is None else indices
@@ -365,7 +285,7 @@ class AlgElement:
 def u1_cosets(lf: LocalField, k: int) -> tuple[Q2, ...]:
     """Exact representatives of U(1)(F) modulo the principal congruence
     subgroup of level k in E, in the squarefree model E = F(sqrt(d0)),
-    d0 = squarefree_kernel(tau): each is a + b sqrt(d0).
+    d0 = lf.d0: each is a + b sqrt(d0).
 
     By Hilbert 90, w -> w / conj(w) maps E^x / F^x = P^1(F) onto U(1), so
     the representatives come from a walk over P^1(F):
@@ -380,7 +300,7 @@ def u1_cosets(lf: LocalField, k: int) -> tuple[Q2, ...]:
     """
     if k < 0:
         raise ValueError("level must be nonnegative")
-    fac = QuadFactor(lf, squarefree_kernel(lf.tau))
+    fac = QuadFactor(lf, lf.d0)
     d0 = fac.d0
     if k == 0:
         return (fac.one(),)
@@ -399,10 +319,8 @@ def u1_cosets(lf: LocalField, k: int) -> tuple[Q2, ...]:
 
 
 def _e_residue_key(fac: QuadFactor, z: Q2, k: int):
+    """z's coordinates modulo the exponents of pi^k O in the basis
+    (1, sqrt(d0)): the class of z modulo the level-k subgroup."""
     p = fac.lf.p
-    if fac.ramified:
-        ka, kb = (k + 1) // 2, k // 2
-    else:
-        ka = kb = k
-    return (rational_mod(z.a, p, ka) if ka else 0,
-            rational_mod(z.b, p, kb) if kb else 0)
+    return tuple(rational_mod(c, p, s) if s else 0
+                 for c, s in zip(fac.coords(z), fac.block.shape(k)))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .cohomology import (H1Class, all_classes, delta_family, inv,
                          kappa_sign, rho, subset_pairing)
 from .cyclo import Cyc
-from .etale import EtaleAlgebra, LineFactor, QuadFactor, squarefree_kernel
+from .etale import EtaleAlgebra, LineFactor, QuadFactor
 from .integrals import (_rank2_torus_value, algebra_space,
                         c_empty_closed_form, construct_jr_transfer_n1,
                         deep_element, germ_extract, gl_orbit_integral,
@@ -165,10 +165,8 @@ def _factor_classes(lf: LocalField):
     (u the smallest nonresidue) other than t0, in that order: the
     quadratic factors the suites draw from."""
     u = smallest_nonresidue(lf.p)
-    t0 = squarefree_kernel(lf.tau)
-    others = [d for d in (u, lf.p, u * lf.p)
-              if squarefree_kernel(Fraction(d)) != t0]
-    return t0, others
+    others = [d for d in (u, lf.p, u * lf.p) if d != lf.d0]
+    return lf.d0, others
 
 
 def germ_mixes(lf: LocalField):
@@ -641,7 +639,7 @@ def _end_to_end_check(lf, f, gamma, c_plus, c_minus, h1, rng):
     if f1.eval((gamma, Fraction(0), Fraction(0))) != c_minus:
         return False, " constructed non-split deep value mismatch"
     wb = Fraction(0) if lf.unramified else Fraction(1)
-    w = Q2(Fraction(squarefree_kernel(lf.tau)), Fraction(1), wb)
+    w = Q2(lf.d0, Fraction(1), wb)
     for h, fi in ((Fraction(1), f0), (h1, f1)):
         b = h * w.norm()
         if b == 0:
@@ -667,9 +665,8 @@ def verify_fl_n1(p_list=(3, 5)) -> VerificationReport:
     for p in p_list:
         u = smallest_nonresidue(p)
         lf = LocalField(p, Fraction(u))  # unramified extension
-        d0 = Fraction(squarefree_kernel(lf.tau))
         unit_f = StepFunction.indicator(Space.lines(lf, 3), [0] * 3, [0] * 3)
-        spu = Space(lf, [LineBlock(lf), QuadBlock(lf, d0, False)])
+        spu = Space(lf, [LineBlock(lf), QuadBlock(lf, lf.d0, False)])
         unit_w = StepFunction.indicator(spu, [0] * 3, [0] * 2)
         gammas = [Fraction(0)] + \
             [Fraction(c) * Fraction(p) ** j
@@ -683,7 +680,7 @@ def verify_fl_n1(p_list=(3, 5)) -> VerificationReport:
                 lhs = gl_orbit_integral(lf, unit_f,
                                         GLTriple([[gamma]], [1], [b]))
                 if lf.chi(b) == 1:
-                    w = Q2(d0, Fraction(p) ** (valuation(b, p) // 2),
+                    w = Q2(lf.d0, Fraction(p) ** (valuation(b, p) // 2),
                            Fraction(0))
                     rhs = unitary_orbit_integral(lf, unit_w, gamma, w)
                 else:

@@ -13,8 +13,7 @@ import itertools
 from fractions import Fraction
 
 from .cyclo import Cyc, sqrt_p
-from .etale import (EtaleAlgebra, AlgElement, LineFactor, squarefree_kernel,
-                    u1_cosets)
+from .etale import EtaleAlgebra, AlgElement, LineFactor, u1_cosets
 from .quadext import Q2
 from .scalar import INF, LocalField, ratsqrt, smallest_nonresidue, valuation
 from .spaces import GLTriple
@@ -23,17 +22,10 @@ from .steps import (LineBlock, QuadBlock, Space, StepFunction, Term,
 from .zeta import FactorMode, ZetaElement, mult_zeta
 
 
-def block_for_factor(lf: LocalField, fac):
-    if fac.degree == 1:
-        return LineBlock(lf)
-    return QuadBlock(lf, fac.d0, fac.ramified)
-
-
 def algebra_space(alg: EtaleAlgebra) -> Space:
     """The space A x A that mult_zeta integrates over, with one coordinate
     block per factor per copy."""
-    blocks = [block_for_factor(alg.lf, f) for f in alg.factors] * 2
-    return Space(alg.lf, blocks)
+    return Space(alg.lf, [f.block for f in alg.factors] * 2)
 
 
 def log_norm(fac, v) -> Fraction:
@@ -386,27 +378,18 @@ def _slot_bounds(f: StepFunction, i: int):
     return lo, hi
 
 
-def _shell_reps(p: int, k: int, r: int, ramified: bool):
+def _shell_reps(blk: QuadBlock, k: int, r: int):
     """Centers of level-(k + e r) boxes covering the elements of exact
-    extension valuation k, in coordinates over the basis (1, sqrt(d0))."""
-    reps = []
-    if not ramified:
-        s = Fraction(p) ** k
-        for a in range(p**r):
-            for b in range(p**r):
-                if a % p == 0 and b % p == 0:
-                    continue
-                reps.append((s * a, s * b))
-    else:
-        sa = Fraction(p) ** (-((-k) // 2))
-        sb = Fraction(p) ** (k // 2)
-        for a in range(p**r):
-            for b in range(p**r):
-                if (k % 2 == 0 and a % p == 0) or \
-                        (k % 2 == 1 and b % p == 0):
-                    continue
-                reps.append((sa * a, sb * b))
-    return reps
+    valuation k in the block, in coordinates over the basis (1, sqrt(d0)):
+    coordinate j runs over p^s_j * range(p^r) with s = blk.shape(k), less
+    the points that lie in pi^(k+1) O (every coordinate in p^t_j Z_p,
+    t = blk.shape(k + 1))."""
+    p = blk.lf.p
+    axes = [[(Fraction(p) ** s * c, c % p ** (t - s) != 0)
+             for c in range(p**r)]
+            for s, t in zip(blk.shape(k), blk.shape(k + 1))]
+    return [tuple(x for x, _ in pt) for pt in itertools.product(*axes)
+            if any(off for _, off in pt)]
 
 
 def construct_jr_transfer_n1(lf: LocalField, f: StepFunction,
@@ -416,11 +399,10 @@ def construct_jr_transfer_n1(lf: LocalField, f: StepFunction,
     weighted orbit integrals of f at the matched invariants, with the
     deep ball around the vector origin filled by the constant term of
     the germ expansion.  Optionally certified by refined-point sampling."""
-    p = lf.p
-    d0 = Fraction(squarefree_kernel(lf.tau))
-    ram = valuation(d0, p) % 2 == 1
-    e = 2 if ram else 1
-    target = Space(lf, [LineBlock(lf), QuadBlock(lf, d0, ram)])
+    p, d0 = lf.p, lf.d0
+    blk = QuadBlock(lf, d0, not lf.unramified)
+    e = blk.e
+    target = Space(lf, [LineBlock(lf), blk])
     hs = [Fraction(1), nonnorm_scalar(lf)]
 
     # scalar-coordinate boxes: the common level refinement of the
@@ -454,7 +436,7 @@ def construct_jr_transfer_n1(lf: LocalField, f: StepFunction,
             consecutive_deep = 0
             while consecutive_deep < e or k < k_min_hi:
                 all_deep = True
-                for (wa, wb) in _shell_reps(p, k, r, ram):
+                for (wa, wb) in _shell_reps(blk, k, r):
                     b = h * (wa * wa - d0 * wb * wb)
                     if b == 0:
                         continue
@@ -483,7 +465,7 @@ def construct_jr_transfer_n1(lf: LocalField, f: StepFunction,
                 dc = rng.choice(centers) + Fraction(p) ** Lx * \
                     rng.randint(0, p - 1)
                 k = rng.randint(lo_k, 6)
-                reps = _shell_reps(p, k, r + 1, ram)
+                reps = _shell_reps(blk, k, r + 1)
                 wa, wb = reps[rng.randrange(len(reps))]
                 b = h * (wa * wa - d0 * wb * wb)
                 if b == 0:
@@ -602,9 +584,8 @@ def unitary_orbit_integral(lf: LocalField, f: StepFunction, delta, w) -> Cyc:
     """int over U(1) of f(delta, g w) dg for f on F x E, with total mass 1;
     computed by congruence-coset averaging at a stabilized level.  E is
     the squarefree model F(sqrt(d0)), in which w and the cosets live."""
-    d0 = Fraction(squarefree_kernel(lf.tau))
     if not isinstance(w, Q2):
-        w = Q2(d0, Fraction(w), Fraction(0))
+        w = Q2(lf.d0, Fraction(w), Fraction(0))
     prev = None
     k = 1
     while k <= MAX_U1_LEVEL:
@@ -641,13 +622,14 @@ def weil_index(lf: LocalField, a) -> Cyc:
 
 @functools.cache
 def _weil_index_of_class(lf: LocalField, a: Fraction) -> Cyc:
-    """weil_index for a square-class representative a, with its lattice
-    stabilization and unitarity checks; cached on (lf, a)."""
+    """weil_index for a square-class representative a (valuation 0 or
+    1, so the lattice sum is stable from level 1), with its stabilization
+    and unitarity checks; cached on (lf, a)."""
+    if a not in lf.square_class_reps():
+        raise ValueError("not a square-class representative")
     p = lf.p
-    v = valuation(a, p)
-    m = max(1, -(-(2 - v) // 2))
-    i_m = _phase_sum(lf, a, m)
-    if i_m != _phase_sum(lf, a, m + 1):
+    i_m = _phase_sum(lf, a, 1)
+    if i_m != _phase_sum(lf, a, 2):
         raise ArithmeticError("lattice sum did not stabilize")
     rho_sq = (i_m * i_m.conj()).as_rational()
     if rho_sq is None or rho_sq <= 0:

@@ -1,9 +1,8 @@
-"""Generic quadratic extensions B(sqrt(d)) with exact arithmetic.
+"""Quadratic extensions Q_p(sqrt(d)) with exact arithmetic.
 
-Q2(d, a, b) models a + b*sqrt(d) over a base ring whose elements support
-+, -, *, /.  The base is Fraction for E = F(sqrt(tau)) and for quadratic
-factors F_i = F(sqrt(d0)); nesting Q2 over Q2 gives E_i = F_i(sqrt(tau)).
-Conjugation flips the sign of the top-level b.
+Q2(d, a, b) models a + b*sqrt(d) with rational a and b (Fraction): the
+extension E = F(sqrt(tau)) and the quadratic factors F_i = F(sqrt(d0)).
+Conjugation flips the sign of b.
 """
 
 from __future__ import annotations
@@ -17,12 +16,12 @@ class Q2:
     def __init__(self, d, a, b=None):
         self.d = d
         self.a = a
-        self.b = b if b is not None else (a - a)  # zero of the base ring
+        self.b = b if b is not None else Fraction(0)
 
     def _lift(self, x):
         if isinstance(x, Q2) and x.d == self.d:
             return x
-        return Q2(self.d, self.a - self.a + x, self.a - self.a)
+        return Q2(self.d, Fraction(x), Fraction(0))
 
     def __add__(self, other):
         o = self._lift(other)
@@ -60,7 +59,7 @@ class Q2:
         n = self.norm()
         if not n:
             raise ZeroDivisionError("non-invertible quadratic element")
-        ninv = _ring_inverse(n)
+        ninv = Fraction(1) / n
         return Q2(self.d, self.a * ninv, -self.b * ninv)
 
     def __truediv__(self, other):
@@ -85,7 +84,7 @@ class Q2:
     def __eq__(self, other):
         if isinstance(other, Q2) and other.d == self.d:
             return self.a == other.a and self.b == other.b
-        return self.b == self.b - self.b and self.a == other
+        return not self.b and self.a == other
 
     def __hash__(self):
         return hash((self.d, self.a, self.b))
@@ -95,9 +94,3 @@ class Q2:
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.d}))"
-
-
-def _ring_inverse(x):
-    if isinstance(x, Q2):
-        return x.inverse()
-    return Fraction(1) / Fraction(x)

@@ -2,13 +2,15 @@
 the quadratic character of E/F and the fixed additive character psi.
 
 The base field F is Q_p with p an odd prime; elements are exact rationals
-viewed inside Q_p.  E = F(sqrt(tau)) for a rational non-square tau.
+viewed inside Q_p.  E = F(sqrt(tau)) for a rational non-square tau, in
+the squarefree model F(sqrt(d0)), d0 the squarefree kernel of tau.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import Cyc
@@ -73,6 +75,26 @@ def ratsqrt(x) -> Fraction:
     return Fraction(rn, rd)
 
 
+def squarefree_kernel(x) -> int:
+    """The squarefree integer d0 with x = d0 * (rational square)."""
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("squarefree kernel of 0")
+    n = x.numerator * x.denominator
+    d0 = -1 if n < 0 else 1
+    n = abs(n)
+    k = 2
+    while k * k <= n:  # trial division: inputs are small
+        e = 0
+        while n % k == 0:
+            n //= k
+            e += 1
+        if e % 2:
+            d0 *= k
+        k += 1
+    return d0 * n  # what is left is 1 or a prime
+
+
 def rational_mod(x, p: int, k: int) -> int:
     """Residue of x (a p-adic integer) modulo p^k, as an int in [0, p^k)."""
     x = Fraction(x)
@@ -103,6 +125,11 @@ class LocalField:
     @property
     def q(self) -> int:
         return self.p
+
+    @functools.cached_property
+    def d0(self) -> Fraction:
+        """The squarefree integer generating E = F(sqrt(d0)) over F."""
+        return Fraction(squarefree_kernel(self.tau))
 
     @property
     def unramified(self) -> bool:

@@ -3,7 +3,7 @@ Lie-algebra elements, general-linear triples (x, v, v*), their complete
 invariant vectors, orbit matching, and the scalar transfer factors.
 
 Matrices are lists of row lists; entries are Fraction over the base field
-and Q2 (with d the square class of tau) over the extension.
+and Q2 (with d = lf.d0, the squarefree kernel of tau) over the extension.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import Cyc
-from .etale import squarefree_kernel
 from .linalg import (char_poly, d_resultant, mat_det, mat_mul, mat_pow_vec,
                      mat_transpose, mat_vec, vec_mat)
 from .quadext import Q2
@@ -87,17 +86,12 @@ class GLTriple:
 # Hermitian spaces and twisted Lie-algebra elements
 
 
-def ext_square_class(lf: LocalField):
-    """The squarefree integer generating E over F."""
-    return Fraction(squarefree_kernel(lf.tau))
-
-
 def e_scalar(lf: LocalField, a, b=0) -> Q2:
-    return Q2(ext_square_class(lf), Fraction(a), Fraction(b))
+    return Q2(lf.d0, Fraction(a), Fraction(b))
 
 
 def e_matrix(lf: LocalField, rows):
-    d = ext_square_class(lf)
+    d = lf.d0
     out = []
     for row in rows:
         out.append([c if isinstance(c, Q2) else Q2(d, Fraction(c), Fraction(0))

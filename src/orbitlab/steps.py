@@ -22,7 +22,7 @@ from itertools import product
 
 from .cyclo import Cyc
 from .linalg import mat_inverse, smith_zp
-from .scalar import INF, LocalField, valuation
+from .scalar import LocalField, valuation
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +120,14 @@ class Space:
             out.extend(b.shape(l))
         return tuple(out)
 
-    def subspace(self, block_indices) -> "Space":
-        return Space(self.lf, [self.blocks[i] for i in block_indices])
+    def complement(self, block_indices):
+        """The blocks outside block_indices: their indices, the space they
+        span, and the coordinates they occupy here."""
+        drop = set(block_indices)
+        keep = [i for i in range(len(self.blocks)) if i not in drop]
+        coords = [j for i in keep for j in range(
+            self.offsets[i], self.offsets[i] + self.blocks[i].dim)]
+        return keep, Space(self.lf, [self.blocks[i] for i in keep]), coords
 
     def __eq__(self, other):
         return isinstance(other, Space) and self.blocks == other.blocks
@@ -289,64 +295,37 @@ class StepFunction:
                 val = val * Cyc.rational(Fraction(lf.p) ** (-s), lf.p)
         return val * lf.psi(ph) * t.coeff
 
-    def integrate(self) -> Cyc:
-        lf = self.space.lf
-        out = Cyc.zero(lf.p)
-        allb = range(len(self.space.blocks))
+    def _on_complement(self, block_indices, coeff_of) -> "StepFunction":
+        """The function on the blocks outside block_indices with one term
+        coeff_of(t) per term t, dropping the terms where it is None."""
+        keep, sub, coords = self.space.complement(block_indices)
+        out = []
         for t in self.terms:
-            v = self._term_integral(t, allb)
-            if v is not None:
-                out = out + v
-        return out
+            c = coeff_of(t)
+            if c is not None:
+                out.append(Term(c, tuple(t.center[j] for j in coords),
+                                tuple(t.levels[i] for i in keep),
+                                tuple(t.phase[j] for j in coords)))
+        return StepFunction(sub, out)
 
     def partial_integrate(self, block_indices) -> "StepFunction":
         """Integrate out the chosen blocks, leaving a function on the rest."""
-        keep = [i for i in range(len(self.space.blocks)) if i not in set(block_indices)]
-        sub = self.space.subspace(keep)
-        coords_keep = []
-        for i in keep:
-            off = self.space.offsets[i]
-            coords_keep.extend(range(off, off + self.space.blocks[i].dim))
-        out = []
-        for t in self.terms:
-            v = self._term_integral(t, block_indices)
-            if v is None:
-                continue
-            out.append(Term(v,
-                            tuple(t.center[j] for j in coords_keep),
-                            tuple(t.levels[i] for i in keep),
-                            tuple(t.phase[j] for j in coords_keep)))
-        return StepFunction(sub, out)
+        return self._on_complement(
+            block_indices, lambda t: self._term_integral(t, block_indices))
 
     def restrict_zero(self, block_indices) -> "StepFunction":
         """Set the chosen blocks' coordinates to 0."""
-        sel = set(block_indices)
-        keep = [i for i in range(len(self.space.blocks)) if i not in sel]
-        sub = self.space.subspace(keep)
-        coords_keep = []
-        for i in keep:
-            off = self.space.offsets[i]
-            coords_keep.extend(range(off, off + self.space.blocks[i].dim))
-        lf = self.space.lf
-        out = []
-        for t in self.terms:
-            ok = True
-            for i in sel:
-                blk = self.space.blocks[i]
-                off = self.space.offsets[i]
-                for j, s in enumerate(blk.shape(t.levels[i])):
-                    if valuation(t.center[off + j], lf.p) < s:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            out.append(Term(t.coeff,
-                            tuple(t.center[j] for j in coords_keep),
-                            tuple(t.levels[i] for i in keep),
-                            tuple(t.phase[j] for j in coords_keep)))
-        return StepFunction(sub, out)
+        space, p = self.space, self.space.lf.p
+
+        def at_zero(t):
+            for i in block_indices:
+                off = space.offsets[i]
+                for j, s in enumerate(space.blocks[i].shape(t.levels[i])):
+                    if valuation(t.center[off + j], p) < s:
+                        return None
+            return t.coeff
+
+        return self._on_complement(block_indices, at_zero)
 
     # -- Fourier transform -------------------------------------------------
 

@@ -12,14 +12,14 @@ from .integrals import nonnorm_scalar, weil_index_form
 from .linalg import mat_mul, nullspace
 from .quadext import Q2
 from .scalar import LocalField
-from .spaces import HermitianSpace, ext_square_class
+from .spaces import HermitianSpace
 
 
 def selfadjoint_basis(space: HermitianSpace):
     """An F-basis of the self-adjoint matrices of a Hermitian space
     (conj(X)^t H = H X), found by exact nullspace computation."""
     n = space.n
-    d0 = ext_square_class(space.lf)
+    d0 = space.lf.d0
     N = 2 * n * n  # coords: (re, im) per matrix entry, row-major
 
     def entry(vec, i, j):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from orbitlab.etale import (EtaleAlgebra, LineFactor, QuadFactor,
                             UnsupportedAlgebraError, _e_residue_key,
                             squarefree_kernel, u1_cosets)
+from orbitlab.integrals import deep_element
 from orbitlab.quadext import Q2
 from orbitlab.scalar import (LocalField, legendre, rational_mod,
                              smallest_nonresidue)
@@ -82,7 +83,7 @@ def _u1_cosets_by_scan(lf, k):
     """Brute-force oracle: scan every w mod p^(k+1) of valuation 0 or 1
     and keep one w / conj(w) per level-k residue class."""
     p = lf.p
-    fac = QuadFactor(lf, squarefree_kernel(lf.tau))
+    fac = QuadFactor(lf, lf.d0)
     d0 = fac.d0
     if k == 0:
         return [fac.one()]
@@ -100,7 +101,7 @@ def _u1_cosets_by_scan(lf, k):
 
 
 def _keys(lf, k, reps):
-    fac = QuadFactor(lf, squarefree_kernel(lf.tau))
+    fac = QuadFactor(lf, lf.d0)
     return {_e_residue_key(fac, z, k) for z in reps}
 
 
@@ -147,13 +148,25 @@ def _residue_legendre_by_division(fac, x):
     return legendre(rational_mod(u.norm(), p, 1), p)
 
 
+def _tame_symbol(fac, a, b):
+    """Oracle: the tame Hilbert symbol (a, b) over the quadratic factor,
+    from the valuations and residue symbols of a and b."""
+    va, vb = fac.val(a), fac.val(b)
+    s = (-1) ** (va * vb * ((fac.q - 1) // 2))
+    s *= _residue_legendre_by_division(fac, a) ** vb
+    s *= _residue_legendre_by_division(fac, b) ** va
+    return s
+
+
 @st.composite
 def quad_points(draw):
-    """(factor, x) with val(x) anywhere in -6..30."""
+    """(factor, x) over either class of tau, with val(x) anywhere in
+    -6..30."""
     p = draw(st.sampled_from(sorted(QUAD_D0)))
     ramified = draw(st.booleans())
     d0 = draw(st.sampled_from(QUAD_D0[p][ramified]))
-    fac = QuadFactor(LocalField(p), d0)
+    tau = draw(st.sampled_from((smallest_nonresidue(p), p)))
+    fac = QuadFactor(LocalField(p, tau), d0)
     prime_to_p = st.integers(1, 30).filter(lambda n: n % p)
     a = Fraction(draw(st.integers(-60, 60)), draw(prime_to_p))
     b = Fraction(draw(st.integers(-60, 60)), draw(prime_to_p))
@@ -166,9 +179,14 @@ def quad_points(draw):
 
 @given(quad_points())
 @settings(max_examples=300, deadline=None)
-def test_residue_legendre_matches_division_by_the_uniformizer(point):
+def test_chi_of_the_norm_is_the_tame_symbol_with_tau(point):
     fac, x = point
-    assert fac.residue_legendre(x) == _residue_legendre_by_division(fac, x)
+    lf = fac.lf
+    assert fac.chi(x) == _tame_symbol(fac, x, fac.from_rational(lf.tau))
+    assert fac.chi(fac.zero()) == 0
+    line = LineFactor(lf, Fraction(0))
+    for r in (x.norm(), x.a, x.b):
+        assert line.chi(r) == lf.chi(r)
 
 
 @given(st.sampled_from((3, 5, 7)), st.booleans(),
@@ -191,6 +209,23 @@ def test_factors_are_equal_exactly_when_their_keys_are(p, ramified_tau,
         assert q != a
         assert all(q != QuadFactor(lf, e)
                    for e in QUAD_D0[p][0] + QUAD_D0[p][1] if e != d0)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_d0_is_the_squarefree_kernel_and_leaves_the_field_key(p):
+    u = smallest_nonresidue(p)
+    for tau in (u, p, 4 * u * p, Fraction(p, 9)):
+        lf = LocalField(p, tau)
+        key = hash(lf)
+        reps = u1_cosets(lf, 2)
+        fac = QuadFactor(lf, p)
+        depth_one = deep_element(fac, 1, 1)
+        assert lf.d0 == squarefree_kernel(lf.tau)
+        assert isinstance(lf.d0, Fraction)
+        twin = LocalField(p, tau)
+        assert lf == twin and hash(lf) == key == hash(twin)
+        assert u1_cosets(twin, 2) is reps
+        assert deep_element(QuadFactor(twin, p), 1, 1) is depth_one
 
 
 def test_contains_e_is_computed_once(lf3, monkeypatch):

@@ -158,6 +158,46 @@ def test_weil_index_is_computed_once_per_class(p, monkeypatch):
                       for lf, a in inputs]
 
 
+@pytest.mark.parametrize("p", (3, 5))
+def test_weil_index_of_class_rejects_a_non_representative(p):
+    lf = LocalField(p)
+    with pytest.raises(ValueError):
+        integrals._weil_index_of_class(lf, Fraction(p**3))
+
+
+def _shell_reps_closed_form(p, k, r, ramified):
+    """Oracle: the shell representatives written out per ramification."""
+    reps = []
+    if not ramified:
+        s = Fraction(p) ** k
+        for a in range(p**r):
+            for b in range(p**r):
+                if a % p == 0 and b % p == 0:
+                    continue
+                reps.append((s * a, s * b))
+    else:
+        sa = Fraction(p) ** (-((-k) // 2))
+        sb = Fraction(p) ** (k // 2)
+        for a in range(p**r):
+            for b in range(p**r):
+                if (k % 2 == 0 and a % p == 0) or \
+                        (k % 2 == 1 and b % p == 0):
+                    continue
+                reps.append((sa * a, sb * b))
+    return reps
+
+
+@pytest.mark.parametrize("p,rmax", [(3, 3), (5, 3), (7, 2)])
+def test_shell_reps_match_the_closed_form(p, rmax):
+    lf = LocalField(p)
+    for d0, ramified in ((smallest_nonresidue(p), False), (p, True)):
+        blk = QuadBlock(lf, Fraction(d0), ramified)
+        for k in range(-6, 9):
+            for r in range(rmax + 1):
+                assert integrals._shell_reps(blk, k, r) == \
+                    _shell_reps_closed_form(p, k, r, ramified)
+
+
 # squarefree d0 that are non-squares in Q_p (unramified and ramified)
 QUAD_D0 = {3: (-1, 2, 3, 6), 5: (2, 3, 5, 10), 7: (-1, 3, 7, 21)}
 
