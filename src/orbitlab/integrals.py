@@ -506,12 +506,17 @@ def _k_reps(p: int, m: int):
                                (Fraction(c), Fraction(e)))
 
 
+def _inverse_gl2(k):
+    """The exact inverse of the 2 x 2 matrix k."""
+    (a, b), (c, e) = k
+    det = a * e - b * c
+    return ((e / det, -b / det), (-c / det, a / det))
+
+
 def _action_matrix_gl2(k):
     """The 8 x 8 matrix of xi -> (k X k^{-1}, k v, v* k^{-1}) in the
     coordinates (x11, x12, x21, x22, v1, v2, w1, w2)."""
-    (a, b), (c, e) = k
-    det = a * e - b * c
-    ki = ((e / det, -b / det), (-c / det, a / det))
+    ki = _inverse_gl2(k)
     n = 8
     R = [[Fraction(0)] * n for _ in range(n)]
     for r in range(2):
@@ -526,38 +531,54 @@ def _action_matrix_gl2(k):
     return R
 
 
+@functools.cache
+def _k_group(p: int, m: int):
+    """The elements of GL_2(Z/p^m) (the _k_reps representatives), built
+    once per (p, m): a tuple of (det k, R(k), R(k^{-1})) with R the
+    _action_matrix_gl2 action, as row tuples.  The action is a
+    representation, so R(k^{-1}) is the exact inverse of R(k)."""
+    return tuple((k[0][0] * k[1][1] - k[0][1] * k[1][0],
+                  tuple(map(tuple, _action_matrix_gl2(k))),
+                  tuple(map(tuple, _action_matrix_gl2(_inverse_gl2(k)))))
+                 for k in _k_reps(p, m))
+
+
 def chi_average_compact(lf: LocalField, f: StepFunction) -> StepFunction:
     """The chi(det k)-weighted average of f over the maximal compact
-    subgroup acting on gl_2 x V x V*, computed over the congruence quotient
-    of level _k_quotient_level(f) and certified by a covariance spot check
-    at 12 points and 2 group elements."""
+    subgroup acting on gl_2 x V x V*.
+
+    The average runs over the congruence quotient GL_2(Z/p^m) with
+    m = _k_quotient_level(f), whose elements and action matrices (with
+    their exact inverses) _k_group builds once per (p, m): one pullback
+    per element, merged and scaled by 1/|K|.  A covariance spot check at
+    12 points and 2 group elements certifies the level; the average is
+    evaluated once at each point and once at each of its 24 images."""
     if f.space.dim != 8:
         raise ValueError("expected a function on gl_2 x V x V*")
-    m = _k_quotient_level(f)
+    group = _k_group(lf.p, _k_quotient_level(f))
     p = lf.p
     terms = []
-    count = 0
-    for k in _k_reps(p, m):
-        det = k[0][0] * k[1][1] - k[0][1] * k[1][0]
+    for det, R, R_inv in group:
         w = Cyc.rational(Fraction(lf.chi(det)), p)
-        terms.extend(f.affine_pullback(_action_matrix_gl2(k)).scale(w).terms)
-        count += 1
+        terms.extend(f.affine_pullback(R, inverse=R_inv).scale(w).terms)
     fK = StepFunction(f.space, terms).merged().scale(
-        Cyc.rational(Fraction(1, count), p))
+        Cyc.rational(Fraction(1, len(group)), p))
     pts = [tuple(Fraction((7 * i + 3 * j + i * j) % 5 - 2)
                  for j in range(8)) for i in range(8)]
     pts += [tuple(Fraction((7 * i + 3 * j + i * j) % (p**2), p)
                   for j in range(8)) for i in range(3)]
     pts += [tuple(Fraction(0) for _ in range(8))]
+    at = [fK.eval(x) for x in pts]
     for k in (((Fraction(1), Fraction(1)), (Fraction(1), Fraction(2))),
               ((Fraction(2), Fraction(1)), (Fraction(p), Fraction(1)))):
         det = k[0][0] * k[1][1] - k[0][1] * k[1][0]
-        R = _action_matrix_gl2(k)
+        rows = [[(j, c) for j, c in enumerate(row) if c]
+                for row in _action_matrix_gl2(k)]
         w = Cyc.rational(Fraction(lf.chi(det)), p)
-        for x in pts:
-            y = tuple(sum(R[i][j] * x[j] for j in range(8))
-                      for i in range(8))
-            if fK.eval(y) != fK.eval(x) * w:
+        for x, fx in zip(pts, at):
+            y = tuple(sum((c * x[j] for j, c in row), Fraction(0))
+                      for row in rows)
+            if fK.eval(y) != fx * w:
                 raise ArithmeticError("compact averaging level too coarse")
     return fK
 

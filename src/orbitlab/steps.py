@@ -376,44 +376,52 @@ class StepFunction:
 
     # -- pullbacks ---------------------------------------------------------
 
-    def affine_pullback(self, mat) -> "StepFunction":
+    def affine_pullback(self, mat, inverse=None) -> "StepFunction":
         """g(x) = f(A x) for invertible rational A (line blocks only); a
-        shift f(A x + b) is translate(b) followed by the pullback."""
+        shift f(A x + b) is translate(b) followed by the pullback.  A caller
+        that knows A^{-1} exactly passes it as inverse, which is then used
+        in place of a Gauss-Jordan inversion.
+
+        Only the nonzero entries are read: column j of A gives
+        (A^T lam)_j and row i of A^{-1} gives (A^{-1} c)_i."""
         if any(not isinstance(b, LineBlock) for b in self.space.blocks):
             raise ValueError("affine pullback needs line blocks")
         n = self.space.dim
         p = self.space.lf.p
-        A = [[Fraction(c) for c in row] for row in mat]
-        Ainv = mat_inverse(A)
-        At_lam = lambda lam: tuple(
-            sum(A[i][j] * lam[i] for i in range(n)) for j in range(n))
+        if inverse is None:
+            inverse = mat_inverse([[Fraction(c) for c in row] for row in mat])
+        cols = [[(i, Fraction(mat[i][j])) for i in range(n) if mat[i][j]]
+                for j in range(n)]
+        inv_rows = [[(j, Fraction(c)) for j, c in enumerate(row) if c]
+                    for row in inverse]
         out = []
         # A is in GL_n(Z_p) exactly when A and its inverse are integral
-        unimodular = all(valuation(c, p) >= 0
-                         for M in (A, Ainv) for row in M for c in row)
-        col_of = [next((j for j in range(n) if A[i][j]), None)
-                  for i in range(n)]
-        monomial = (all(sum(1 for c in row if c) == 1 for row in A)
-                    and len(set(col_of)) == n)
+        # (zero entries have valuation infinity)
+        unimodular = all(valuation(c, p) >= 0 for M in (cols, inv_rows)
+                         for line in M for _, c in line)
+        monomial = (all(len(col) == 1 for col in cols)
+                    and len({col[0][0] for col in cols}) == n)
         for t in self.terms:
-            phase = At_lam(t.phase)
-            new_center = tuple(
-                sum(Ainv[i][j] * t.center[j] for j in range(n))
-                for i in range(n))
+            lam = t.phase
+            phase = (tuple(sum(c * lam[i] for i, c in col) for col in cols)
+                     if any(lam) else lam)
+            new_center = tuple(sum(c * t.center[j] for j, c in row)
+                               for row in inv_rows)
             if unimodular and len(set(t.levels)) == 1:
                 out.append(Term(t.coeff, new_center, t.levels, phase))
                 continue
             if monomial:
-                # row i reads coordinate col_of[i]: one box maps to one box
+                # column j is read by row i alone: one box maps to one box
                 levels = [0] * n
-                for i in range(n):
-                    levels[col_of[i]] = t.levels[i] - valuation(
-                        A[i][col_of[i]], p)
+                for j, ((i, c),) in enumerate(cols):
+                    levels[j] = t.levels[i] - valuation(c, p)
                 out.append(Term(t.coeff, new_center, tuple(levels), phase))
                 continue
             # general case: decompose A^{-1} * diag(p^k) Z_p^n into boxes
-            B = [[Ainv[i][j] * Fraction(p) ** t.levels[j] for j in range(n)]
-                 for i in range(n)]
+            B = [[Fraction(0)] * n for _ in range(n)]
+            for i, row in enumerate(inv_rows):
+                for j, c in row:
+                    B[i][j] = c * Fraction(p) ** t.levels[j]
             for box_center, box_levels in _lattice_boxes(B, p):
                 c2 = tuple(a + dd for a, dd in zip(new_center, box_center))
                 out.append(Term(t.coeff, c2, box_levels, phase))

@@ -280,15 +280,19 @@ def factor_zeta(fac, cell: Cell, sigma: int, p) -> ZetaElement:
     if fac.chi_ramified_on_units():
         return ZetaElement.zero(p)
     z = Fraction(fac.chi(fac.uniformizer()))
+    if z not in (1, -1):
+        raise ArithmeticError("chi of a uniformizer is not a sign")
     lo, hi = cell.vmin, cell.vmax
     if lo == -INF and hi == INF:
         raise ValueError("divergent: unconstrained multiplicative integral")
     if lo != -INF and hi != INF:
-        # sum z^a per exponent k a as rationals; with sigma = 0 the whole
+        # z = +-1, so z^a is the sign z_pow[a % 2] and each exponent k a
+        # gets a count or an alternating count; with sigma = 0 the whole
         # window lands on exponent 0
+        z_pow = (1, int(z))
         sums = {}
         for a in range(int(lo), int(hi) + 1):
-            sums[k * a] = sums.get(k * a, 0) + z**a
+            sums[k * a] = sums.get(k * a, 0) + z_pow[a % 2]
         return ZetaElement(p, {e: Cyc.rational(c, p) for e, c in sums.items()})
     if k == 0:
         raise ValueError("divergent shell sum with no |t|^s damping")

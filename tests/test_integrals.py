@@ -1,18 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitlab import integrals
+from orbitlab import integrals, steps
 from orbitlab.cyclo import Cyc
 from orbitlab.integrals import (_action_matrix_gl2, _k_quotient_level,
                                 _k_reps, chi_average_compact, deep_element,
                                 gl_orbit_integral, support_radius,
                                 unitary_orbit_integral, weil_index,
                                 weil_index_form)
-from orbitlab.etale import EtaleAlgebra, LineFactor, QuadFactor
+from orbitlab.etale import EtaleAlgebra, LineFactor, QuadFactor, u1_cosets
 from orbitlab.quadext import Q2
 from orbitlab.scalar import LocalField, smallest_nonresidue, valuation
 from orbitlab.spaces import GLTriple
@@ -259,21 +260,61 @@ def _gl2_vv_function(lf, rng, level, nterms=3, phases=False):
     return StepFunction(Space.lines(lf, 8), terms)
 
 
-def test_chi_average_compact_equals_the_unmerged_average():
-    rng = random.Random(21)
-    for tau in (Fraction(2), Fraction(3)):
-        lf = LocalField(3, tau)
+def _check_against_the_unmerged_average(p, rng):
+    """Compare at both tau classes; return the pairs of term counts."""
+    sizes = []
+    for tau in (smallest_nonresidue(p), p):
+        lf = LocalField(p, Fraction(tau))
         f = _gl2_vv_function(lf, rng, level=1, phases=True)
         fK = chi_average_compact(lf, f)
         plain = _unmerged_average(lf, f)
-        assert len(fK.terms) < len(plain.terms)
+        sizes.append((len(fK.terms), len(plain.terms)))
         assert fK == plain
         for _ in range(40):
-            x = [Fraction(rng.randrange(-9, 10), rng.choice((1, 3)))
+            x = [Fraction(rng.randrange(-p**2, p**2 + 1), rng.choice((1, p)))
                  for _ in range(8)]
             assert fK.eval(x) == plain.eval(x)
         for t in f.terms:
             assert fK.eval(t.center) == plain.eval(t.center)
+    return sizes
+
+
+def test_chi_average_compact_equals_the_unmerged_average():
+    for merged, plain in _check_against_the_unmerged_average(
+            3, random.Random(21)):
+        assert merged < plain
+
+
+def test_chi_average_compact_equals_the_unmerged_average_at_p5():
+    _check_against_the_unmerged_average(5, random.Random(25))
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2)])
+def test_k_group_is_gl2_mod_p_power_with_exact_inverses(p, m):
+    group = integrals._k_group(p, m)
+    assert integrals._k_group(p, m) is group
+    assert len(group) == p ** (4 * (m - 1)) * (p**2 - 1) * (p**2 - p)
+    identity = [[int(i == j) for j in range(8)] for i in range(8)]
+    for (det, R, R_inv), k in zip(group, _k_reps(p, m)):
+        assert det == k[0][0] * k[1][1] - k[0][1] * k[1][0]
+        assert valuation(det, p) == 0
+        assert [list(row) for row in R] == _action_matrix_gl2(k)
+        # R R^{-1} over the nonzero entries of R
+        assert [[sum(c * R_inv[t][j] for t, c in enumerate(row) if c)
+                 for j in range(8)] for row in R] == identity
+
+
+def test_chi_average_compact_inverts_no_matrix(monkeypatch):
+    def no_inverse(A):
+        raise AssertionError("Gauss-Jordan inversion in the average")
+
+    monkeypatch.setattr(steps, "mat_inverse", no_inverse)
+    integrals._k_group.cache_clear()
+    rng = random.Random(26)
+    lf = LocalField(3, Fraction(2))
+    f = _gl2_vv_function(lf, rng, level=1, phases=True)
+    f.terms[0].levels = (1, 0, 1, 1, 0, 1, 1, 1)
+    assert chi_average_compact(lf, f).terms
 
 
 def test_chi_average_compact_of_level_zero_is_one_term():
@@ -286,15 +327,50 @@ def test_chi_average_compact_of_level_zero_is_one_term():
 
 def test_chi_average_compact_certification_keeps_its_points(monkeypatch):
     lf = LocalField(3, Fraction(2))
+    p = lf.p
     f = _gl2_vv_function(lf, random.Random(23), level=0)
     calls = []
     original = StepFunction.eval
 
     def counting(self, x):
-        calls.append(x)
+        calls.append(tuple(x))
         return original(self, x)
 
     monkeypatch.setattr(StepFunction, "eval", counting)
     chi_average_compact(lf, f)
-    # 12 points, 2 group elements, f(k x) and f(x) at each
-    assert len(calls) == 48
+    # the 12 points, each evaluated once, and their images under the 2
+    # group elements: 24 comparisons f(k x) = chi(det k) f(x)
+    pts = [tuple(Fraction((7 * i + 3 * j + i * j) % 5 - 2)
+                 for j in range(8)) for i in range(8)]
+    pts += [tuple(Fraction((7 * i + 3 * j + i * j) % (p**2), p)
+                  for j in range(8)) for i in range(3)]
+    pts += [(Fraction(0),) * 8]
+    images = []
+    for k in (((1, 1), (1, 2)), ((2, 1), (p, 1))):
+        R = _action_matrix_gl2(tuple(tuple(map(Fraction, r)) for r in k))
+        images += [tuple(sum(R[i][j] * x[j] for j in range(8))
+                         for i in range(8)) for x in pts]
+    assert Counter(calls) == Counter(pts + images)
+
+
+def _u1_average(lf, f, delta, w, k):
+    """The average of f(delta, z w) over the level-k U(1) cosets."""
+    reps = u1_cosets(lf, k)
+    acc = Cyc.zero(lf.p)
+    for z in reps:
+        zw = z * w
+        acc = acc + f.eval((delta, zw.a, zw.b))
+    return acc * Cyc.rational(Fraction(1, len(reps)), lf.p)
+
+
+@pytest.mark.xfail(strict=True, reason="unitary_orbit_integral stops when "
+                   "two consecutive levels agree, and at ramified tau the "
+                   "level-2 and level-3 U(1) subgroups are equal")
+def test_unitary_orbit_integral_at_ramified_tau_sees_fine_functions():
+    lf = LocalField(3, Fraction(3))
+    w = Q2(lf.d0, Fraction(1), Fraction(0))
+    space = Space(lf, [LineBlock(lf), QuadBlock(lf, lf.d0, True)])
+    f = StepFunction.indicator(space, [0, 1, 0], [0, 4])
+    fine = _u1_average(lf, f, Fraction(0), w, 8)
+    assert fine == Cyc.rational(Fraction(1, 18), 3)
+    assert unitary_orbit_integral(lf, f, Fraction(0), w) == fine

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitlab.cyclo import Cyc
+from orbitlab.linalg import mat_inverse
 from orbitlab.scalar import LocalField, valuation
 from orbitlab.steps import (LineBlock, MonomialGram, QuadBlock, Space,
                             StepFunction, Term, frac_mod_one, frac_mod_power)
@@ -119,10 +120,15 @@ def test_affine_pullback_matches_composition():
         b = [Fraction(rng.randrange(-3, 4), 3) for _ in range(2)]
         g = f.affine_pullback(A)
         gb = f.translate(b).affine_pullback(A)
+        # a caller that knows A^{-1} passes it instead of inverting A
+        gi = f.affine_pullback(
+            A, inverse=mat_inverse([[Fraction(c) for c in r] for r in A]))
+        assert gi == g
         for x in _points(rng, 2):
             Ax = [sum(Fraction(A[i][j]) * x[j] for j in range(2))
                   for i in range(2)]
             assert g.eval(x) == f.eval(Ax)
+            assert gi.eval(x) == f.eval(Ax)
             # a shifted pullback f(A x + b) is translate(b), then pull back
             assert gb.eval(x) == f.eval([a + bi for a, bi in zip(Ax, b)])
 
