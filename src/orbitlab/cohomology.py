@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .etale import AlgElement, EtaleAlgebra
+from .etale import EtaleAlgebra
 from .linalg import mat_mul, mat_vec, solve
 from .scalar import smallest_nonresidue
 from .spaces import (GLTriple, HermitianSpace, UnitaryLieElement,
@@ -70,11 +70,11 @@ def kappa_sign(alg: EtaleAlgebra, block, x: H1Class) -> int:
 # polynomial representatives of algebra elements
 
 
-def poly_coeffs(alg: EtaleAlgebra, elt: AlgElement):
+def poly_coeffs(alg: EtaleAlgebra, elt):
     """Coefficients (c_0, ..., c_{n-1}) with sum c_k gamma^k = elt."""
     n = alg.dim()
     rows, rhs = [], []
-    for fac, c in zip(alg.factors, elt.coords):
+    for fac, c in zip(alg.factors, elt):
         if fac.degree == 1:
             rows.append([fac.root**k for k in range(n)])
             rhs.append(Fraction(c))
@@ -89,7 +89,7 @@ def poly_coeffs(alg: EtaleAlgebra, elt: AlgElement):
     return solve(rows, rhs)
 
 
-def matrix_of(alg: EtaleAlgebra, elt: AlgElement, gamma_matrix):
+def matrix_of(alg: EtaleAlgebra, elt, gamma_matrix):
     """The matrix sum c_k gamma^k acting wherever gamma_matrix acts,
     evaluated by Horner's rule."""
     cs = poly_coeffs(alg, elt)
@@ -104,7 +104,7 @@ def matrix_of(alg: EtaleAlgebra, elt: AlgElement, gamma_matrix):
     return out
 
 
-def vector_of(alg: EtaleAlgebra, elt: AlgElement, gamma_matrix, vec):
+def vector_of(alg: EtaleAlgebra, elt, gamma_matrix, vec):
     """The vector (sum c_k gamma^k) vec, evaluated on the vector by
     Horner's rule (u <- gamma u + c vec) without forming the matrix."""
     cs = poly_coeffs(alg, elt)
@@ -115,12 +115,12 @@ def vector_of(alg: EtaleAlgebra, elt: AlgElement, gamma_matrix, vec):
     return u
 
 
-def factor_idempotent(alg: EtaleAlgebra, i: int) -> AlgElement:
+def factor_idempotent(alg: EtaleAlgebra, i: int):
     return alg.element([f.one() if j == i else f.zero()
                         for j, f in enumerate(alg.factors)])
 
 
-def twist_element(alg: EtaleAlgebra, x: H1Class) -> AlgElement:
+def twist_element(alg: EtaleAlgebra, x: H1Class):
     """A unit whose per-factor chi values realize the given class (and 1
     on the factors containing E)."""
     bit_of = dict(zip(alg.S1(), x.bits))

@@ -72,10 +72,6 @@ class LineFactor(_Factor):
         self.root = Fraction(root)
         super().__init__(lf, ("line", lf, self.root), LineBlock(lf))
 
-    @property
-    def gamma(self):
-        return self.root
-
     def contains_E(self) -> bool:
         return False
 
@@ -102,9 +98,6 @@ class LineFactor(_Factor):
 
     def poly(self):
         return (Fraction(1), -self.root)
-
-    def sort_key(self):
-        return (1, (-self.root,))
 
     def __repr__(self):
         return f"LineFactor(root={self.root})"
@@ -170,10 +163,6 @@ class QuadFactor(_Factor):
         g = self.gamma
         return (Fraction(1), -g.trace(), g.norm())
 
-    def sort_key(self):
-        _, c1, c0 = self.poly()
-        return (2, (c1, c0))
-
     def __repr__(self):
         return f"QuadFactor(d0={self.d0}, gamma={self.gamma})"
 
@@ -185,8 +174,7 @@ class EtaleAlgebra:
     def __init__(self, lf: LocalField, factors):
         self.lf = lf
         self.factors = list(factors)
-        keys = [f.sort_key() for f in self.factors]
-        if len(set(keys)) != len(keys):
+        if len(set(self.factors)) != len(self.factors):
             raise UnsupportedAlgebraError("repeated factors: not regular semisimple")
 
     @property
@@ -203,82 +191,16 @@ class EtaleAlgebra:
     def dim(self) -> int:
         return sum(f.degree for f in self.factors)
 
-    def gamma_element(self) -> "AlgElement":
-        return AlgElement(self, [f.gamma for f in self.factors])
+    def one(self):
+        return tuple(f.one() for f in self.factors)
 
-    def zero(self) -> "AlgElement":
-        return AlgElement(self, [f.zero() for f in self.factors])
-
-    def one(self) -> "AlgElement":
-        return AlgElement(self, [f.one() for f in self.factors])
-
-    def from_rational(self, x) -> "AlgElement":
-        return AlgElement(self, [f.from_rational(x) for f in self.factors])
-
-    def element(self, coords) -> "AlgElement":
-        return AlgElement(self, list(coords))
+    def element(self, coords):
+        """An element of the algebra: a tuple with one coordinate per
+        factor (Fraction for a line factor, Q2 for a quadratic one)."""
+        return tuple(coords)
 
     def __repr__(self):
         return f"EtaleAlgebra({self.factors})"
-
-
-class AlgElement:
-    """An element of an etale algebra, stored per factor."""
-
-    def __init__(self, algebra: EtaleAlgebra, coords):
-        self.algebra = algebra
-        self.coords = list(coords)
-
-    def _binop(self, other, op):
-        if isinstance(other, AlgElement):
-            return AlgElement(self.algebra,
-                              [op(a, b) for a, b in zip(self.coords, other.coords)])
-        other = self.algebra.from_rational(other)
-        return self._binop(other, op)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlgElement(self.algebra, [-c for c in self.coords])
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "AlgElement":
-        out = []
-        for f, c in zip(self.algebra.factors, self.coords):
-            if isinstance(c, Q2):
-                out.append(c.inverse())
-            else:
-                out.append(Fraction(1) / Fraction(c))
-        return AlgElement(self.algebra, out)
-
-    def is_unit(self) -> bool:
-        return all(bool(c) for c in self.coords)
-
-    def chi(self, indices=None) -> int:
-        """Product of the per-factor chi values over the given indices."""
-        idx = range(len(self.coords)) if indices is None else indices
-        out = 1
-        for i in idx:
-            out *= self.algebra.factors[i].chi(self.coords[i])
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __repr__(self):
-        return f"AlgElement({self.coords})"
 
 
 @functools.cache

@@ -271,7 +271,7 @@ def verify_m1_closed_forms(p_list=(3,), tau=None) -> VerificationReport:
             for depth in range(6, 10):
                 for s in ((1,) if fac.contains_E() else (1, -1)):
                     eps = alg.element([deep_element(fac, depth, s)])
-                    v = fac.val(eps.coords[0])
+                    v = fac.val(eps[0])
                     got1 = torus_orbit_integral(alg, lattice, eps)
                     if fac.contains_E():
                         want1 = Cyc.rational(Fraction(v + 1), p)
@@ -280,7 +280,7 @@ def verify_m1_closed_forms(p_list=(3,), tau=None) -> VerificationReport:
                     else:
                         want1 = Cyc.rational(Fraction(1 + s, 2), p)
                     got2 = torus_orbit_integral(alg, away2, eps)
-                    want2 = mu * fac.chi(eps.coords[0])
+                    want2 = mu * fac.chi(eps[0])
                     got3 = torus_orbit_integral(alg, away1, eps)
                     report.add(got1 == want1 and got2 == want2 and got3 == mu,
                                f"factor={fac!r} depth={depth} sign={s}")

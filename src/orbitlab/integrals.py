@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 
 from .cyclo import Cyc, sqrt_p
-from .etale import EtaleAlgebra, AlgElement, LineFactor, u1_cosets
+from .etale import EtaleAlgebra, LineFactor, u1_cosets
 from .quadext import Q2
 from .scalar import INF, LocalField, ratsqrt, smallest_nonresidue, valuation
 from .spaces import GLTriple
@@ -38,12 +38,13 @@ def log_norm(fac, v) -> Fraction:
 # torus orbit integrals and germ expansions
 
 
-def torus_orbit_integral(alg: EtaleAlgebra, f: StepFunction,
-                         eps: AlgElement) -> Cyc:
-    """Integral over T of f(t, eps t^{-1}) chi(t) dt, as an exact value."""
-    if not eps.is_unit():
+def torus_orbit_integral(alg: EtaleAlgebra, f: StepFunction, eps) -> Cyc:
+    """Integral over T of f(t, eps t^{-1}) chi(t) dt, as an exact value.
+    eps is an element of the algebra: a tuple with one coordinate per
+    factor (Fraction or Q2), as alg.element builds it."""
+    if not all(eps):
         raise ValueError("eps must be invertible")
-    modes = [FactorMode(eps=c) for c in eps.coords]
+    modes = [FactorMode(eps=c) for c in eps]
     return mult_zeta(alg, f, modes).value_at_one()
 
 
@@ -126,14 +127,14 @@ class GermExpansion:
         self.radius = radius
         self.coeffs = coeffs  # (frozenset L2, sign tuple) -> Cyc
 
-    def signs_of(self, eps: AlgElement):
-        return tuple(self.alg.factors[i].chi(eps.coords[i])
+    def signs_of(self, eps):
+        return tuple(self.alg.factors[i].chi(eps[i])
                      for i in self.alg.S1())
 
     def c_empty(self, signs) -> Cyc:
         return self.coeffs[(frozenset(), tuple(signs))]
 
-    def predict(self, eps: AlgElement) -> Cyc:
+    def predict(self, eps) -> Cyc:
         S2 = self.alg.S2()
         signs = self.signs_of(eps)
         p = self.alg.lf.p
@@ -144,7 +145,7 @@ class GermExpansion:
             reg = Fraction(1)
             for i in rest:
                 fac = self.alg.factors[i]
-                reg *= log_norm(fac, fac.val(eps.coords[i]))
+                reg *= log_norm(fac, fac.val(eps[i]))
             out = out + c * Cyc.rational(Fraction(-1) ** len(rest) * reg, p)
         return out
 
@@ -274,24 +275,17 @@ def rank1_slice(f: StepFunction, gamma) -> StepFunction:
     return g.restrict_zero([0])
 
 
-def rank1_slice_zeta(alg: EtaleAlgebra, g: StepFunction, v, vs,
-                     sigma) -> ZetaElement:
-    """The zeta element of int g(t v, t^{-1} vs) chi(t)|t|^{sigma s} dt for
-    the slice g = f(gamma, ., .), alg the one-line algebra F[gamma]; a zero
-    v (resp. vs) pins that argument to 0."""
-    sv = Fraction(v) if v else Fraction(1)
-    sw = Fraction(vs) if vs else Fraction(1)
-    g = g.affine_pullback([[sv, Fraction(0)], [Fraction(0), sw]])
-    mode = FactorMode(slot1=bool(v), slot2=bool(vs), sigma=sigma)
-    return mult_zeta(alg, g, [mode])
-
-
 def _rank1_zeta(lf: LocalField, f: StepFunction, gamma, v, vs,
                 sigma) -> ZetaElement:
     """The zeta element of int f(gamma, t v, t^{-1} vs) chi(t)|t|^{sigma s} dt
     for f on F x F x F; a zero v (resp. vs) pins that argument to 0."""
     alg = EtaleAlgebra(lf, [LineFactor(lf, Fraction(gamma))])
-    return rank1_slice_zeta(alg, rank1_slice(f, gamma), v, vs, sigma)
+    sv = Fraction(v) if v else Fraction(1)
+    sw = Fraction(vs) if vs else Fraction(1)
+    g = rank1_slice(f, gamma).affine_pullback(
+        [[sv, Fraction(0)], [Fraction(0), sw]])
+    mode = FactorMode(slot1=bool(v), slot2=bool(vs), sigma=sigma)
+    return mult_zeta(alg, g, [mode])
 
 
 def gl_orbit_integral(lf: LocalField, f: StepFunction, d) -> Cyc:
@@ -441,8 +435,10 @@ def construct_jr_transfer_n1(lf: LocalField, f: StepFunction,
                     if b == 0:
                         continue
                     # the GL-side orbit integral at (dc, b) on the
-                    # slice already taken for this center
-                    val = rank1_slice_zeta(alg, fd0, 1, b, 0).value_at_one()
+                    # slice already taken for this center: t^{-1} b
+                    # feeds the second slot through mult_zeta's eps
+                    val = mult_zeta(alg, fd0,
+                                    [FactorMode(eps=b)]).value_at_one()
                     if val != deep:
                         all_deep = False
                     if val:

@@ -1,6 +1,6 @@
 """Hermitian spaces over the quadratic extension, twisted self-adjoint
 Lie-algebra elements, general-linear triples (x, v, v*), their complete
-invariant vectors, orbit matching, and the scalar transfer factors.
+invariant vectors and orbit matching.
 
 Matrices are lists of row lists; entries are Fraction over the base field
 and Q2 (with d = lf.d0, the squarefree kernel of tau) over the extension.
@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import Cyc
-from .linalg import (char_poly, d_resultant, mat_det, mat_mul, mat_pow_vec,
+from .linalg import (char_poly, mat_det, mat_mul, mat_pow_vec,
                      mat_transpose, mat_vec, vec_mat)
 from .quadext import Q2
-from .scalar import LocalField, valuation
+from .scalar import LocalField
 
 
 def mat_conj(A):
@@ -142,14 +141,6 @@ class HermitianSpace:
         return sum((x.conj() * y for x, y in zip(u, hu)),
                    e_scalar(self.lf, 0))
 
-    def direct_sum(self, other: "HermitianSpace") -> "HermitianSpace":
-        n, m = self.n, other.n
-        z = e_scalar(self.lf, 0)
-        rows = [[self.gram[i][j] if i < n and j < n else
-                 (other.gram[i - n][j - n] if i >= n and j >= n else z)
-                 for j in range(n + m)] for i in range(n + m)]
-        return HermitianSpace(self.lf, rows)
-
 
 class UnitaryLieElement:
     """A self-adjoint endomorphism of a Hermitian space:
@@ -189,17 +180,6 @@ class UnitaryLieElement:
         b = tuple(self.b_invariant(w, i) for i in range(self.n))
         return a, b
 
-    def moment_matrix(self, w):
-        n = self.n
-        return [[self.b_invariant(w, i + j) for j in range(n)]
-                for i in range(n)]
-
-    def delta(self, w) -> Fraction:
-        return mat_det(self.moment_matrix(w))
-
-    def is_rss(self, w) -> bool:
-        return self.delta(w) != 0
-
 
 def match_predicate(d: GLTriple, u: UnitaryLieElement, w) -> bool:
     return d.invariants() == u.invariants(w)
@@ -225,18 +205,3 @@ def construct_unitary_match(lf: LocalField, d: GLTriple):
     if not match_predicate(d, delta, w):
         raise AssertionError("construction failed to match invariants")
     return delta, w
-
-
-# ---------------------------------------------------------------------------
-# eigenvalue-difference products and transfer factors
-
-
-def endoscopic_factor(lf: LocalField, coeffs1, coeffs2) -> Cyc:
-    """chi(D) |D|_F for D the eigenvalue-difference product of a nice
-    matching block pair (the kappa(inv) correction for the non-split host
-    space is applied by the caller)."""
-    D = d_resultant(coeffs1, coeffs2)
-    if D == 0:
-        raise ValueError("characteristic polynomials are not coprime")
-    val = Fraction(lf.chi(D)) * Fraction(lf.q) ** (-valuation(D, lf.p))
-    return Cyc.rational(val, lf.p)

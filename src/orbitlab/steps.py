@@ -251,31 +251,6 @@ class StepFunction:
                             t.levels, t.phase))
         return StepFunction(self.space, out)
 
-    def pointwise_mul(self, other: "StepFunction") -> "StepFunction":
-        if self.space != other.space:
-            raise ValueError("multiplying functions on different spaces")
-        lf = self.space.lf
-        out = []
-        for t1 in self.terms:
-            for t2 in other.terms:
-                levels = tuple(max(a, b) for a, b in zip(t1.levels, t2.levels))
-                ok = True
-                center = []
-                for i, blk in enumerate(self.space.blocks):
-                    c1 = self.space.block_coords(t1.center, i)
-                    c2 = self.space.block_coords(t2.center, i)
-                    lo = min(t1.levels[i], t2.levels[i])
-                    diff = tuple(a - b for a, b in zip(c1, c2))
-                    if blk.val(diff) < lo:
-                        ok = False
-                        break
-                    center.extend(c1 if t1.levels[i] >= t2.levels[i] else c2)
-                if not ok:
-                    continue
-                out.append(Term(t1.coeff * t2.coeff, tuple(center), levels,
-                                tuple(a + b for a, b in zip(t1.phase, t2.phase))))
-        return StepFunction(self.space, out)
-
     # -- integration -------------------------------------------------------
 
     def _term_integral(self, t: Term, block_indices) -> Cyc | None:

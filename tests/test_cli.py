@@ -181,3 +181,12 @@ def test_scripts_parse_their_options():
             [sys.executable, str(ROOT / "scripts" / script), "--help"],
             env=env, capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, (script, result.stderr)
+    # the two example scripts also run at their defaults and re-verify
+    # their own results
+    for script in ("build_transfer_pair.py", "explore_germ_expansion.py"):
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, (script, result.stderr)
+        assert "[ok]" in result.stdout, (script, result.stdout)
+        assert "MISMATCH" not in result.stdout, (script, result.stdout)

@@ -97,7 +97,9 @@ def test_matrix_of_on_companion_triples(lf3):
             ident = [[zero + 1 if i == j else zero for j in range(n)]
                      for i in range(n)]
             assert matrix_of(alg, alg.one(), g) == ident
-            assert matrix_of(alg, alg.gamma_element(), g) == g
+            gamma = alg.element([f.gamma if f.degree == 2 else f.root
+                                 for f in alg.factors])
+            assert matrix_of(alg, gamma, g) == g
             elt = alg.element([f.from_coords([Fraction(k + 1, 2)] *
                                              f.degree)
                                for k, f in enumerate(alg.factors)])

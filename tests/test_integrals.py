@@ -317,6 +317,60 @@ def test_chi_average_compact_inverts_no_matrix(monkeypatch):
     assert chi_average_compact(lf, f).terms
 
 
+@pytest.mark.parametrize("tau", [2, 3])
+def test_chi_average_compact_matches_the_brute_force_average_at_mixed_levels(
+        tau):
+    # levels that differ between the blocks gl_2, V and V*: the pullbacks
+    # by the non-monomial R(k) cut each box into several (_lattice_boxes).
+    # Centers with denominators p put support off Z_p^8.  The oracle is
+    # (1/|K|) sum chi(det k) f(R(k) x) over K = GL_2(Z/3), point by point.
+    lf = LocalField(3, Fraction(tau))
+    p = lf.p
+    rng = random.Random(f"mixed/{tau}")
+    # (levels, denominator) per block, for gl_2, V and V*
+    shapes = (((0, p), (0, p), (-1, 1)), ((0, p), (-1, 1), (0, p)),
+              ((1, 1), (0, 1), (1, 1)))
+    terms = []
+    for shape in shapes:
+        levels, center = [], []
+        for (level, den), size in zip(shape, (4, 2, 2)):
+            levels += [level] * size
+            center += [Fraction(rng.randrange(-p * den, p * den + 1), den)
+                       for _ in range(size)]
+        terms.append(Term(Cyc.rational(Fraction(rng.randrange(1, 4)), p),
+                          center, levels))
+    f = StepFunction(Space.lines(lf, 8), terms)
+    assert _k_quotient_level(f) == 1
+    fK = chi_average_compact(lf, f)
+    group = integrals._k_group(p, 1)
+
+    def act(R, x):
+        return [sum(c * xj for c, xj in zip(row, x)) for row in R]
+
+    def brute(x):
+        total = Cyc.zero(p)
+        for det, R, _ in group:
+            total = total + f.eval(act(R, x)) * lf.chi(det)
+        return total * Cyc.rational(Fraction(1, len(group)), p)
+
+    # each center, points of each box moved by random group elements, and
+    # random points with and without denominators
+    pts = [list(t.center) for t in terms]
+    for t in terms:
+        for _ in range(5):
+            x = [c + Fraction(p) ** l * rng.randrange(-p, p + 1)
+                 for c, l in zip(t.center, t.levels)]
+            pts.append(act(rng.choice(group)[1], x))
+    pts += [[Fraction(rng.randrange(-p, p + 1), rng.choice((1, p)))
+             for _ in range(8)] for _ in range(6)]
+    values = [fK.eval(x) for x in pts]
+    assert values == [brute(x) for x in pts]
+    assert any(v for x, v in zip(pts, values)
+               if any(c.denominator > 1 for c in x))
+    assert any(v for x, v in zip(pts, values)
+               if all(c.denominator == 1 for c in x))
+
+
 def test_chi_average_compact_of_level_zero_is_one_term():
     rng = random.Random(22)
     for tau in (Fraction(2), Fraction(3)):

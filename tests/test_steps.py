@@ -99,14 +99,6 @@ def test_translate_and_phase():
         assert h.eval(x) == f.eval(x) * LF.psi(ph)
 
 
-def test_pointwise_mul():
-    rng = random.Random(9)
-    f, g = _random_f(rng), _random_f(rng)
-    fg = f.pointwise_mul(g)
-    for x in _points(rng, 2):
-        assert fg.eval(x) == f.eval(x) * g.eval(x)
-
-
 def test_affine_pullback_matches_composition():
     rng = random.Random(10)
     mats = [
