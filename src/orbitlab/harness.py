@@ -756,8 +756,8 @@ def verify_rank2_stretch() -> VerificationReport:
 
 
 # report name -> (suite, default instance count, or None for a suite of
-# fixed size).  This is the one list of suites: run_all and the command
-# line both iterate it.
+# fixed size).  This is the one list of suites: the command line iterates
+# it.
 SUITES = {
     "torus-germ": (verify_torus_germ, 50),
     "m1-closed-forms": (verify_m1_closed_forms, None),
@@ -791,8 +791,3 @@ def run_suite(name: str, quick=False, **options) -> VerificationReport:
     if count is not None and "instances" not in kwargs:
         kwargs["instances"] = max(2, count // 10) if quick else count
     return suite(**kwargs)
-
-
-def run_all(quick=False, **options):
-    """Run every registered suite, in registry order."""
-    return [run_suite(name, quick, **options) for name in SUITES]

@@ -414,6 +414,11 @@ def construct_jr_transfer_n1(lf: LocalField, f: StepFunction,
     a3, l3 = _slot_bounds(f, 2)
     b_lo = 0 if (a2 is INF or a3 is INF) else a2 + a3
     r = max(1, l3 - (0 if a3 is INF else min(a3, 0)) + 1)
+    # shell values are constant on b(1 + p^j Z_p): a slot-2 box c + p^l
+    # holds y iff it holds y(1 + p^j Z_p), as val(y) >= min(val c, l); the
+    # level-(k + e j) box around w has its norms in N(w)(1 + p^j Z_p)
+    j = max([1] + [t.levels[2] - min(valuation(t.center[2], p), t.levels[2])
+                   for t in f.terms])
 
     out = []
     for h in hs:
@@ -428,22 +433,24 @@ def construct_jr_transfer_n1(lf: LocalField, f: StepFunction,
             k_min_hi = -(-(e * (radius - vh)) // 2) + 1
             k = k_lo
             consecutive_deep = 0
+            shell_value = {}  # b mod p^(val b + j), the class of b -> value
             while consecutive_deep < e or k < k_min_hi:
                 all_deep = True
-                for (wa, wb) in _shell_reps(blk, k, r):
+                for (wa, wb) in _shell_reps(blk, k, j):
                     b = h * (wa * wa - d0 * wb * wb)
-                    if b == 0:
-                        continue
-                    # the GL-side orbit integral at (dc, b) on the
-                    # slice already taken for this center: t^{-1} b
-                    # feeds the second slot through mult_zeta's eps
-                    val = mult_zeta(alg, fd0,
-                                    [FactorMode(eps=b)]).value_at_one()
+                    key = frac_mod_power(b, p, valuation(b, p) + j)
+                    if key not in shell_value:
+                        # the GL-side orbit integral at (dc, b) on the
+                        # slice already taken for this center: t^{-1} b
+                        # feeds the second slot through mult_zeta's eps
+                        shell_value[key] = mult_zeta(
+                            alg, fd0, [FactorMode(eps=b)]).value_at_one()
+                    val = shell_value[key]
                     if val != deep:
                         all_deep = False
                     if val:
                         terms.append(Term(val, (dc, wa, wb),
-                                          (Lx, k + e * r)))
+                                          (Lx, k + e * j)))
                 consecutive_deep = consecutive_deep + 1 if all_deep else 0
                 k += 1
                 if k > k_min_hi + 4 * e + 8:

@@ -28,15 +28,15 @@ def is_prime(n: int) -> bool:
 
 
 def valuation(x, p: int):
-    """p-adic valuation of a rational; infinity for 0."""
-    x = Fraction(x)
-    if x == 0:
+    """p-adic valuation of an int or a Fraction; infinity for 0."""
+    num = x.numerator
+    if not num:
         return INF
     v = 0
-    num, den = x.numerator, x.denominator
     while num % p == 0:
         num //= p
         v += 1
+    den = x.denominator
     while den % p == 0:
         den //= p
         v -= 1

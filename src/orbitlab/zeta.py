@@ -61,10 +61,6 @@ class ZetaElement:
         p = p if p is not None else coeff.p
         return ZetaElement(p, {e: coeff})
 
-    @staticmethod
-    def one(p) -> "ZetaElement":
-        return ZetaElement(p, {0: Cyc.one(p)})
-
     def is_zero_poly(self) -> bool:
         return not self.num
 

@@ -4,15 +4,22 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from orbitlab import harness
+from orbitlab.cli import main
 from orbitlab.cyclo import Cyc
-from orbitlab.etale import squarefree_kernel
-from orbitlab.integrals import (construct_jr_transfer_n1, gl_orbit_integral,
-                                nonnorm_scalar, unitary_orbit_integral)
-from orbitlab.scalar import LocalField, ratsqrt, smallest_nonresidue
+from orbitlab.etale import EtaleAlgebra, LineFactor, squarefree_kernel
+from orbitlab.integrals import (_shell_reps, _slot_bounds, c_empty_closed_form,
+                                construct_jr_transfer_n1, gl_orbit_integral,
+                                nonnorm_scalar, rank1_slice, support_radius,
+                                unitary_orbit_integral)
+from orbitlab.scalar import (INF, LocalField, ratsqrt, smallest_nonresidue,
+                             valuation)
 from orbitlab.spaces import GLTriple
-from orbitlab.steps import Space, StepFunction
+from orbitlab.steps import (LineBlock, QuadBlock, Space, StepFunction, Term,
+                            frac_mod_power)
+from orbitlab.zeta import FactorMode, mult_zeta
 
 
 def test_ledger_records_once():
@@ -96,6 +103,96 @@ def test_transfer_matches_orbit_integrals(lf3):
         assert unitary_orbit_integral(lf3, f0, delta, wv) == lin
 
 
+def per_representative_pair(lf: LocalField, f: StepFunction):
+    """The rank-one matching pair built one box and one mult_zeta call per
+    shell representative at level k + e r, without certification: the
+    reference that construct_jr_transfer_n1's per-class construction at
+    level k + e j must equal."""
+    p, d0 = lf.p, lf.d0
+    blk = QuadBlock(lf, d0, not lf.unramified)
+    e = blk.e
+    target = Space(lf, [LineBlock(lf), blk])
+    Lx = max([t.levels[0] for t in f.terms] + [0])
+    centers = sorted({frac_mod_power(t.center[0] + Fraction(p) ** t.levels[0]
+                                     * i, p, Lx)
+                      for t in f.terms
+                      for i in range(p ** max(0, Lx - t.levels[0]))})
+    a2, _ = _slot_bounds(f, 1)
+    a3, l3 = _slot_bounds(f, 2)
+    b_lo = 0 if (a2 is INF or a3 is INF) else a2 + a3
+    r = max(1, l3 - (0 if a3 is INF else min(a3, 0)) + 1)
+    pair = []
+    for h in (Fraction(1), nonnorm_scalar(lf)):
+        vh = valuation(h, p)
+        terms = []
+        for dc in centers:
+            fd0 = rank1_slice(f, dc)
+            alg = EtaleAlgebra(lf, [LineFactor(lf, dc)])
+            deep = c_empty_closed_form(alg, fd0, (lf.chi(h),))
+            radius = support_radius(alg, fd0)
+            k = (e * (b_lo - vh)) // 2
+            k_min_hi = -(-(e * (radius - vh)) // 2) + 1
+            consecutive_deep = 0
+            while consecutive_deep < e or k < k_min_hi:
+                all_deep = True
+                for (wa, wb) in _shell_reps(blk, k, r):
+                    b = h * (wa * wa - d0 * wb * wb)
+                    val = mult_zeta(alg, fd0,
+                                    [FactorMode(eps=b)]).value_at_one()
+                    all_deep = all_deep and val == deep
+                    if val:
+                        terms.append(Term(val, (dc, wa, wb),
+                                          (Lx, k + e * r)))
+                consecutive_deep = consecutive_deep + 1 if all_deep else 0
+                k += 1
+            if deep:
+                terms.append(Term(deep, (dc, Fraction(0), Fraction(0)),
+                                  (Lx, k)))
+        pair.append(StepFunction(target, terms))
+    return pair
+
+
+def _hoisted_input(p, tau):
+    lf = LocalField(p, tau)
+    rng = random.Random(f"hoisted/{tau}")
+    return lf, harness.random_step_function(Space.lines(lf, 3), rng,
+                                            nterms=3, uniform=False)
+
+
+def _unit_boxes_input(p, tau, boxes):
+    """Sum of coeff * 1[center + p^levels] on F^3 over boxes of
+    (coeff, center, levels)."""
+    lf = LocalField(p, Fraction(tau))
+    terms = [Term(Cyc.rational(Fraction(c), p), tuple(map(Fraction, ctr)),
+                  levels) for c, ctr, levels in boxes]
+    return lf, StepFunction(Space.lines(lf, 3), terms)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _hoisted_input(3, Fraction(3)),
+    # slot-2 centres of valuation -1 at level 1 give j = 2 < r = 3; with
+    # slot 1 at level 2 the shell values are not constant on b(1 + 3Z_3)
+    lambda: _unit_boxes_input(3, 2, [(1, (0, 1, 1), (0, 2, 1)),
+                                     (2, (1, 1, Fraction(1, 3)), (0, 2, 1))]),
+    lambda: _unit_boxes_input(3, 3, [(1, (0, 1, Fraction(1, 3)), (0, 2, 1)),
+                                     (2, (1, 1, Fraction(2, 3)), (0, 2, 1))]),
+    # == refines both sides to one common level, so its cost grows with p
+    # and with the level spread; two boxes keep the p = 5 case small
+    lambda: _unit_boxes_input(5, 5, [(1, (0, 1, 1), (0, 1, 1)),
+                                     (2, (1, 1, 2), (0, 1, 1))]),
+], ids=["p3-ramified", "p3-unramified-negative-slot2",
+        "p3-ramified-negative-slot2", "p5-ramified"])
+def test_transfer_pair_equals_the_per_representative_pair(make):
+    lf, f = make()
+    for got, want in zip(construct_jr_transfer_n1(lf, f),
+                         per_representative_pair(lf, f)):
+        assert got == want
+        # the oracle's boxes are disjoint: its value at a term centre is
+        # that term's coefficient
+        for t in want.terms:
+            assert got.eval(t.center) == t.coeff
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_transfer_terms_are_gl_orbit_integrals(p):
     # the construction evaluates shells on a per-center slice of f, with
@@ -103,19 +200,13 @@ def test_transfer_terms_are_gl_orbit_integrals(p):
     # still be the GL-side orbit integral of f itself, which pulls f back
     # by diag(v, v*) instead
     for tau in (Fraction(smallest_nonresidue(p)), Fraction(p)):
-        lf = LocalField(p, tau)
+        lf, f = _hoisted_input(p, tau)
         d0 = Fraction(squarefree_kernel(lf.tau))
-        rng = random.Random(f"hoisted/{tau}")
-        # two terms at p = 5 keep the pair to about 10^4 terms
-        f = harness.random_step_function(Space.lines(lf, 3), rng,
-                                         nterms=3 if p == 3 else 2,
-                                         uniform=False)
         pair = construct_jr_transfer_n1(lf, f)
         hs = (Fraction(1), nonnorm_scalar(lf))
         checked = 0
         for h, fi in zip(hs, pair):
-            # every term at p = 3; an even stride of about 400 at p = 5
-            for t in fi.terms[::max(1, len(fi.terms) // 400)]:
+            for t in fi.terms:
                 dc, wa, wb = t.center
                 if wa == 0 and wb == 0:
                     continue  # the deep ball around the vector origin
@@ -163,17 +254,19 @@ def test_registry_counts_match_signatures():
 GOLDEN_RUN_ALL = Path(__file__).resolve().parent / "data" / "run_all_p3.json"
 
 
-def test_run_all_follows_the_registry():
-    reports = harness.run_all(p_list=(3,), instances=2)
-    assert [rep.name for rep in reports] == list(harness.SUITES)
+def test_run_all_follows_the_registry(tmp_path, monkeypatch):
+    monkeypatch.delenv("ORBITLAB_LEDGER", raising=False)
+    out = tmp_path / "r.json"
+    result = CliRunner().invoke(main, ["--p", "3", "--instances", "2",
+                                       "--out", str(out), "all"])
+    assert result.exit_code == 0, result.output
+    reports = json.loads(out.read_text())
+    assert [rep["name"] for rep in reports] == list(harness.SUITES)
     # every report, less its wall time, matches the recorded run bit for
     # bit: details, witnesses and the calibration constant
-    got = []
     for rep in reports:
-        data = rep.to_json()
-        del data["runtime"]
-        got.append(data)
-    assert json.dumps(got, indent=1) + "\n" == GOLDEN_RUN_ALL.read_text()
+        del rep["runtime"]
+    assert json.dumps(reports, indent=1) + "\n" == GOLDEN_RUN_ALL.read_text()
 
 
 def test_weil_suite_checks_index_ratios_at_its_own_primes():

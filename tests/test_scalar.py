@@ -27,6 +27,31 @@ def test_valuation_of_zero():
     assert valuation(0, 3) is INF
 
 
+def _valuation_by_coercion(x, p):
+    """valuation as first written: coerce to Fraction, compare to 0."""
+    x = Fraction(x)
+    if x == 0:
+        return INF
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_valuation_matches_the_coercing_version(p):
+    ints = [0, 1, -1, p, -p, p**3, -2 * p**2, 7 * 5 * 3, 10**9 + 7]
+    fracs = [Fraction(n, d) for n in range(-2 * p**2, 2 * p**2 + 1, 3)
+             for d in (1, 2, p, p**2, 4 * p, 7 * 5 * 3)]
+    for x in ints + fracs + [Fraction(0), Fraction(-p**4, 11)]:
+        assert valuation(x, p) == _valuation_by_coercion(x, p), x
+
+
 def test_legendre_detects_squares():
     for p in (3, 5, 7, 11):
         squares = {(a * a) % p for a in range(1, p)}

@@ -60,7 +60,8 @@ def test_arithmetic_commutes_with_evaluation(z, w):
 def test_monomial_and_one():
     c = Cyc.rational(Fraction(5, 2), P)
     assert ZetaElement.monomial(c, 3, P).value_at_one() == c
-    assert ZetaElement.one(P).value_at_one() == Cyc.one(P)
+    assert ZetaElement.monomial(Cyc.one(P), 0, P).value_at_one() == \
+        Cyc.one(P)
 
 
 def _window_by_shells(fac, lo, hi, sigma, p):
