@@ -13,7 +13,7 @@ import click
 from orbitlab.harness import random_step_function
 from orbitlab.integrals import (construct_jr_transfer_n1, gl_orbit_integral,
                                 unitary_orbit_integral)
-from orbitlab.scalar import LocalField
+from orbitlab.scalar import LocalField, ratsqrt
 from orbitlab.spaces import GLTriple
 from orbitlab.steps import Space
 
@@ -33,10 +33,8 @@ def main(p, tau, seed):
     for delta, b in ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(9)),
                      (Fraction(2), Fraction(1, 9))):
         lin = gl_orbit_integral(lf, f, GLTriple([[delta]], [1], [b]))
-        w = Fraction(1)
-        while w * w != b:
-            w *= Fraction(1, p) if w * w > b else Fraction(p)
-        uni = unitary_orbit_integral(lf, f0, delta, w)
+        # b is a rational square: w = sqrt(b) has norm invariant b
+        uni = unitary_orbit_integral(lf, f0, delta, ratsqrt(b))
         mark = "ok" if lin == uni else "MISMATCH"
         click.echo(f"delta={delta} b={b}: linear {lin} vs unitary {uni} "
                    f"[{mark}]")
